@@ -12,11 +12,16 @@
 //!   index descends in `O(log n)`;
 //! * one `set` — what the write path pays per changed vertex to keep the
 //!   index current (the re-scan column pays nothing on writes; that is
-//!   the trade being measured).
+//!   the trade being measured);
+//! * one publish — a `ScoreDelta::Sparse` touching 1%, 10% and 66% of
+//!   `n`, folded in as one batched treap write, against the same changes
+//!   applied one `set` at a time.
 //!
 //! Scores are quantized so higher `n` rows carry real tie mass — the
 //! regime where the tie-toward-smaller-id rule does the ordering work.
-//! Every cell asserts the index agrees with the oracle before timing it.
+//! Every cell asserts the index agrees with the oracle before timing it,
+//! and every publish asserts the batched result is structurally identical
+//! to `RankIndex::from_scores` of the updated vector.
 //!
 //! ```sh
 //! cargo run --release -p ebc-bench --bin topk_baseline [-- --smoke] [-- --out PATH]
@@ -24,11 +29,14 @@
 //!
 //! `--smoke` shrinks the sweep to a seconds-long CI sanity pass.
 
-use ebc_core::rankindex::RankIndex;
+use ebc_core::rankindex::{RankIndex, ScoreDelta};
 use ebc_core::ranking;
 use std::time::Instant;
 
 const K: usize = 10;
+
+/// Fractions of `n` one publish delta touches.
+const PUBLISH_FRACTIONS: [f64; 3] = [0.01, 0.10, 0.66];
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -71,6 +79,67 @@ fn rescan_rank_of(vbc: &[f64], v: u32) -> usize {
         .enumerate()
         .filter(|&(w, &sw)| sw.total_cmp(&sv).then(v.cmp(&(w as u32))).is_gt())
         .count()
+}
+
+/// A delta moving `k` distinct vertices to fresh scores.
+fn publish_delta(n: usize, k: usize, seed: u64) -> Vec<(u32, f64)> {
+    let mut state = seed;
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    // partial Fisher-Yates: the first `k` ids are a uniform sample
+    for i in 0..k {
+        let j = i + (splitmix64(&mut state) % (n - i) as u64) as usize;
+        ids.swap(i, j);
+    }
+    ids[..k]
+        .iter()
+        .map(|&v| (v, (splitmix64(&mut state) % 100_000) as f64 / 16.0))
+        .collect()
+}
+
+/// Time one publish of a `frac * n` delta, batched and point by point, on
+/// fresh clones of `index`; returns the JSON cell.
+fn publish_cell(index: &RankIndex, vbc: &[f64], frac: f64, reps: usize, iters: usize) -> String {
+    let n = vbc.len();
+    let k = ((n as f64 * frac) as usize).max(1);
+    let changes = publish_delta(n, k, 0xde17a ^ k as u64);
+    let delta = ScoreDelta::Sparse(changes.clone());
+
+    // the structural contract first, then the stopwatch
+    let mut updated = vbc.to_vec();
+    for &(v, x) in &changes {
+        updated[v as usize] = x;
+    }
+    let mut batched = index.clone();
+    batched.apply(&delta);
+    assert_eq!(
+        batched.shape(),
+        RankIndex::from_scores(&updated).shape(),
+        "n={n} k={k}: batched publish is not the rebuild tree"
+    );
+
+    // keep each timed cell near a fixed amount of work
+    let iters = (20_000 / k).clamp(1, iters);
+    let batch_us = time_per_call(reps, iters, || {
+        let mut ix = index.clone();
+        ix.apply(std::hint::black_box(&delta));
+        std::hint::black_box(ix);
+    });
+    let pointwise_us = time_per_call(reps, iters, || {
+        let mut ix = index.clone();
+        for &(v, x) in std::hint::black_box(&changes) {
+            ix.set(v, x);
+        }
+        std::hint::black_box(ix);
+    });
+    eprintln!(
+        "n={n:>7}: publish k={k:>6}: {pointwise_us:.1}us point by point -> {batch_us:.1}us batched ({:.1}x)",
+        pointwise_us / batch_us
+    );
+    format!(
+        "{{\"frac\": {frac}, \"changed\": {k}, \"batch_us\": {batch_us:.2}, \
+         \"pointwise_us\": {pointwise_us:.2}, \"speedup\": {:.2}}}",
+        pointwise_us / batch_us
+    )
 }
 
 fn main() {
@@ -126,6 +195,11 @@ fn main() {
             live.set((r % n as u64) as u32, (r >> 32) as f64 / 16.0);
         });
 
+        let publish: Vec<String> = PUBLISH_FRACTIONS
+            .iter()
+            .map(|&frac| publish_cell(&index, &vbc, frac, reps, iters))
+            .collect();
+
         eprintln!(
             "n={n:>7}: top_k {rescan_topk:.3}us -> {indexed_topk:.3}us ({:.1}x), \
              rank_of {rescan_rank:.3}us -> {indexed_rank:.3}us ({:.1}x), \
@@ -139,16 +213,17 @@ fn main() {
              \"topk_speedup\": {:.2}, \
              \"rescan_rank_of_us\": {rescan_rank:.4}, \"indexed_rank_of_us\": {indexed_rank:.4}, \
              \"rank_of_speedup\": {:.2}, \
-             \"indexed_set_us\": {indexed_set:.4}}}",
+             \"indexed_set_us\": {indexed_set:.4}, \"publish\": [{}]}}",
             rescan_topk / indexed_topk,
             rescan_rank / indexed_rank,
+            publish.join(", "),
         ));
     }
 
     let json = format!(
         "{{\n  \"bench\": \"topk\",\n  \"k\": {K},\n  \"repetitions\": {reps},\n  \
          \"iters_per_rep\": {iters},\n  \"host_cores\": {cores},\n  \
-         \"metric\": \"per-call wall time (median of repetitions, mean over iters) for ranked reads on a quantized tie-heavy score vector: top_k(10) and rank_of via a full re-scan of the scores vs the incremental rank index; indexed_set_us is the write-path cost of keeping the index current for one changed vertex\",\n  \
+         \"metric\": \"per-call wall time (median of repetitions, mean over iters) for ranked reads on a quantized tie-heavy score vector: top_k(10) and rank_of via a full re-scan of the scores vs the incremental rank index; indexed_set_us is the write-path cost of keeping the index current for one changed vertex; publish is one sparse delta changing a fraction of n, folded in as one batched difference+union (batch_us) vs one set per changed vertex (pointwise_us), each on a fresh O(1) clone\",\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -19,9 +19,9 @@
 //! `ranking::top_k`). Heap priorities are `splitmix64(vertex)`: the
 //! finalizer is a bijection on `u64`, so priorities are distinct and the
 //! tree shape is a deterministic function of the key set. Nodes are
-//! `Arc`-shared and every update path-copies `O(log n)` nodes, which makes
-//! cloning the whole index `O(1)` — the serve layer publishes a clone
-//! inside each immutable snapshot without copying `n` scores.
+//! `Arc`-shared and every write path-copies only the nodes it changes,
+//! which makes cloning the whole index `O(1)` — the serve layer publishes
+//! a clone inside each immutable snapshot without copying `n` scores.
 //!
 //! Scores themselves live in a chunked copy-on-write vector
 //! (`ScoreVec`) so a snapshot clone shares unchanged chunks and a
@@ -32,11 +32,29 @@
 //! Producers publish [`ScoreDelta`]s: `Unchanged` (nothing moved),
 //! `Sparse` (the update kernel's dirty vertices with their new scores) or
 //! `Dense` (a full re-publication, e.g. right after bootstrap).
-//! [`RankIndex::apply`] folds a delta in by deleting the old `(score,
-//! vertex)` key and inserting the new one per changed vertex; a vertex
-//! whose new bits equal its old bits is a no-op, so over-approximate
-//! dirty sets are harmless. Correctness only needs the dirty set to
-//! *cover* every vertex whose score bits changed.
+//! [`RankIndex::apply`] folds a `Sparse` delta of `k` changes in as one
+//! batch, in three steps:
+//!
+//! 1. resolve the entries with sequential semantics (the last entry for a
+//!    vertex wins, a vertex whose new bits equal its old bits is a no-op,
+//!    growth zero-fills id gaps) into sorted removed keys and sorted
+//!    inserted `(key, priority, score)` items;
+//! 2. one `difference` pass deletes the removed keys, recursing only into
+//!    subtrees that hold one and joining the children of each hit node;
+//! 3. one `union` with a treap built from the inserted items in `O(k)`
+//!    (the right-spine Cartesian build that also backs
+//!    [`RankIndex::from_scores`]): the higher-priority root leads, the
+//!    other tree is split at its key, the halves recurse.
+//!
+//! These are the join-based bulk set operations of Blelloch, Ferizovic &
+//! Sun ("Just Join for Parallel Ordered Sets", SPAA 2016); on a treap
+//! both cost `O(k log(n/k + 1))` expected, against `O(k log n)` for `k`
+//! point updates. [`RankIndex::set`] is the one-element batch, so the
+//! index has a single write mechanism. Because the shape depends only on
+//! the key set, the result is structurally identical to a rebuild of the
+//! same scores ([`RankIndex::shape`] exposes it for the checks that pin
+//! this). Over-approximate dirty sets are harmless: correctness only
+//! needs the dirty set to *cover* every vertex whose score bits changed.
 
 use std::sync::Arc;
 
@@ -132,7 +150,7 @@ fn priority(v: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Node {
     key: u128,
     pri: u64,
@@ -148,6 +166,11 @@ impl Node {
     #[inline]
     fn vertex(&self) -> u32 {
         (self.key & 0xFFFF_FFFF) as u32
+    }
+
+    #[inline]
+    fn fix_size(&mut self) {
+        self.size = size(&self.left) + size(&self.right) + 1;
     }
 }
 
@@ -168,17 +191,26 @@ fn mk(key: u128, pri: u64, score: f64, left: Link, right: Link) -> Link {
     }))
 }
 
+// The write primitives below take their trees by value and rewrite nodes
+// through `Arc::make_mut`: a node only this write path references (built
+// or copied earlier in the same batch) is updated in place, a node a
+// snapshot still shares is path-copied. They descend only through nodes
+// they own, so a child's reference count always tells whether it is shared.
+
 fn merge(l: Link, r: Link) -> Link {
     match (l, r) {
-        (None, r) => r,
-        (l, None) => l,
-        (Some(a), Some(b)) => {
+        (None, t) | (t, None) => t,
+        (Some(mut a), Some(mut b)) => {
             if a.pri >= b.pri {
-                let right = merge(a.right.clone(), Some(b));
-                mk(a.key, a.pri, a.score, a.left.clone(), right)
+                let n = Arc::make_mut(&mut a);
+                n.right = merge(n.right.take(), Some(b));
+                n.fix_size();
+                Some(a)
             } else {
-                let left = merge(Some(a), b.left.clone());
-                mk(b.key, b.pri, b.score, left, b.right.clone())
+                let n = Arc::make_mut(&mut b);
+                n.left = merge(Some(a), n.left.take());
+                n.fix_size();
+                Some(b)
             }
         }
     }
@@ -186,30 +218,90 @@ fn merge(l: Link, r: Link) -> Link {
 
 /// Split into (`keys < key`, `keys ≥ key`).
 fn split(t: Link, key: u128) -> (Link, Link) {
-    match t {
-        None => (None, None),
-        Some(n) => {
-            if n.key < key {
-                let (a, b) = split(n.right.clone(), key);
-                (mk(n.key, n.pri, n.score, n.left.clone(), a), b)
-            } else {
-                let (a, b) = split(n.left.clone(), key);
-                (a, mk(n.key, n.pri, n.score, b, n.right.clone()))
-            }
+    let Some(mut t) = t else {
+        return (None, None);
+    };
+    let n = Arc::make_mut(&mut t);
+    if n.key < key {
+        let (a, b) = split(n.right.take(), key);
+        n.right = a;
+        n.fix_size();
+        (Some(t), b)
+    } else {
+        let (a, b) = split(n.left.take(), key);
+        n.left = b;
+        n.fix_size();
+        (a, Some(t))
+    }
+}
+
+/// Remove every key of the ascending `keys` from `t`. Recurses only into
+/// subtrees holding a removed key, so untouched subtrees stay shared; a
+/// removed node's children are joined with [`merge`].
+fn difference(t: Link, keys: &[u128]) -> Link {
+    if keys.is_empty() {
+        return t;
+    }
+    let mut t = t?;
+    let i = keys.partition_point(|&k| k < t.key);
+    if keys.get(i) == Some(&t.key) {
+        let Node { left, right, .. } = Arc::unwrap_or_clone(t);
+        return merge(
+            difference(left, &keys[..i]),
+            difference(right, &keys[i + 1..]),
+        );
+    }
+    let n = Arc::make_mut(&mut t);
+    n.left = difference(n.left.take(), &keys[..i]);
+    n.right = difference(n.right.take(), &keys[i..]);
+    n.fix_size();
+    Some(t)
+}
+
+/// Union of two treaps over disjoint key sets: the higher-priority root
+/// leads, the other tree is split at its key, and the halves recurse.
+fn union(a: Link, b: Link) -> Link {
+    match (a, b) {
+        (None, t) | (t, None) => t,
+        (Some(a), Some(b)) => {
+            let (mut hi, lo) = if a.pri >= b.pri { (a, b) } else { (b, a) };
+            let n = Arc::make_mut(&mut hi);
+            let (l, r) = split(Some(lo), n.key);
+            n.left = union(n.left.take(), l);
+            n.right = union(n.right.take(), r);
+            n.fix_size();
+            Some(hi)
         }
     }
 }
 
-fn insert(root: Link, key: u128, pri: u64, score: f64) -> Link {
-    let (l, r) = split(root, key);
-    merge(merge(l, mk(key, pri, score, None, None)), r)
-}
-
-fn remove(root: Link, key: u128) -> Link {
-    let (l, r) = split(root, key);
-    // keys have 32 zero high bits, so `key + 1` cannot overflow
-    let (_mid, r) = split(r, key + 1);
-    merge(l, r)
+/// Build a treap from `(key, pri, score)` items in ascending key order in
+/// `O(len)`: the right-spine Cartesian-tree construction. The spine is
+/// the path from the root to the largest key so far; a node popped off it
+/// never changes again, so it is frozen into an `Arc` node on the spot.
+fn build_sorted(items: &[(u128, u64, f64)]) -> Link {
+    // (item, frozen left subtree); each entry's right child is the next
+    // entry up the stack
+    let mut spine: Vec<(usize, Link)> = Vec::new();
+    let freeze = |i: usize, left: Link, right: Link| {
+        let (key, pri, score) = items[i];
+        mk(key, pri, score, left, right)
+    };
+    for (id, &(_, pri, _)) in items.iter().enumerate() {
+        let mut last: Link = None;
+        while let Some(&(top, _)) = spine.last() {
+            if items[top].1 >= pri {
+                break;
+            }
+            let (_, left) = spine.pop().expect("spine is non-empty");
+            last = freeze(top, left, last);
+        }
+        spine.push((id, last));
+    }
+    spine
+        .into_iter()
+        .rev()
+        .fold(None, |right, (i, left)| freeze(i, left, right))
 }
 
 /// Chunked copy-on-write score vector: a clone shares every chunk, a
@@ -257,64 +349,23 @@ impl RankIndex {
         RankIndex::default()
     }
 
-    /// Bulk-build from a dense score vector in `O(n log n)` (sort by
-    /// rank key, then a stack-based treap construction in `O(n)`).
+    /// Bulk-build from a dense score vector in `O(n log n)`: sort by rank
+    /// key, then `build_sorted` in `O(n)`.
     pub fn from_scores(scores: &[f64]) -> Self {
-        struct Tmp {
-            key: u128,
-            pri: u64,
-            score: f64,
-            left: Option<usize>,
-            right: Option<usize>,
-        }
-        let mut items: Vec<(u128, u32, f64)> = scores
+        let mut items: Vec<(u128, u64, f64)> = scores
             .iter()
             .enumerate()
-            .map(|(v, &x)| (rank_key(x, v as u32), v as u32, x))
+            .map(|(v, &x)| (rank_key(x, v as u32), priority(v as u32), x))
             .collect();
         items.sort_unstable_by_key(|&(key, _, _)| key);
-
-        // standard right-spine cartesian-tree build over the key-sorted
-        // items; the spine holds the path from the root to the largest key
-        let mut arena: Vec<Tmp> = Vec::with_capacity(items.len());
-        let mut spine: Vec<usize> = Vec::new();
-        for (key, v, score) in items {
-            let pri = priority(v);
-            let mut last: Option<usize> = None;
-            while let Some(&top) = spine.last() {
-                if arena[top].pri < pri {
-                    last = spine.pop();
-                } else {
-                    break;
-                }
-            }
-            let id = arena.len();
-            arena.push(Tmp {
-                key,
-                pri,
-                score,
-                left: last,
-                right: None,
-            });
-            if let Some(&top) = spine.last() {
-                arena[top].right = Some(id);
-            }
-            spine.push(id);
-        }
-
-        fn freeze(arena: &[Tmp], i: Option<usize>) -> Link {
-            let t = &arena[i?];
-            let left = freeze(arena, t.left);
-            let right = freeze(arena, t.right);
-            mk(t.key, t.pri, t.score, left, right)
-        }
-        let root = freeze(&arena, spine.first().copied());
-
         let mut sv = ScoreVec::default();
         for &x in scores {
             sv.push(x);
         }
-        RankIndex { root, scores: sv }
+        RankIndex {
+            root: build_sorted(&items),
+            scores: sv,
+        }
     }
 
     /// Number of indexed vertices.
@@ -335,38 +386,70 @@ impl RankIndex {
     /// Point update: move `v` to `score` (append when `v` is the next
     /// fresh id; intermediate ids are filled with `0.0`, the score every
     /// vertex is born with). `O(log n)`; a bitwise no-op change is free.
+    /// A one-element [`ScoreDelta::Sparse`] batch.
     pub fn set(&mut self, v: u32, score: f64) {
-        let vi = v as usize;
-        while self.scores.len < vi {
-            let pad = self.scores.len as u32;
-            self.scores.push(0.0);
-            self.root = insert(self.root.take(), rank_key(0.0, pad), priority(pad), 0.0);
-        }
-        if vi == self.scores.len {
-            self.scores.push(score);
-            self.root = insert(self.root.take(), rank_key(score, v), priority(v), score);
-            return;
-        }
-        let old = self.scores.get(vi);
-        if old.to_bits() == score.to_bits() {
-            return;
-        }
-        self.root = remove(self.root.take(), rank_key(old, v));
-        self.scores.set(vi, score);
-        self.root = insert(self.root.take(), rank_key(score, v), priority(v), score);
+        self.apply_sparse(&[(v, score)]);
     }
 
     /// Fold one published delta into the index.
     pub fn apply(&mut self, delta: &ScoreDelta) {
         match delta {
             ScoreDelta::Unchanged => {}
-            ScoreDelta::Sparse(changes) => {
-                for &(v, score) in changes {
-                    self.set(v, score);
-                }
-            }
+            ScoreDelta::Sparse(changes) => self.apply_sparse(changes),
             ScoreDelta::Dense(scores) => *self = RankIndex::from_scores(scores),
         }
+    }
+
+    /// The batched write path: resolve `changes` with sequential
+    /// semantics (the last entry for a vertex wins, growth zero-fills
+    /// gaps), then one `difference` of the old keys and one `union`
+    /// with a treap built from the new ones — `O(k log(n/k + 1))` for `k`
+    /// changed vertices.
+    fn apply_sparse(&mut self, changes: &[(u32, f64)]) {
+        let old_len = self.scores.len;
+        // (vertex, score before the batch) for every write to an old vertex
+        let mut touched: Vec<(u32, f64)> = Vec::new();
+        for &(v, score) in changes {
+            let vi = v as usize;
+            while self.scores.len < vi {
+                self.scores.push(0.0);
+            }
+            if vi == self.scores.len {
+                self.scores.push(score);
+                continue;
+            }
+            let old = self.scores.get(vi);
+            if old.to_bits() == score.to_bits() {
+                continue;
+            }
+            if vi < old_len {
+                touched.push((v, old));
+            }
+            self.scores.set(vi, score);
+        }
+        // the first write of a vertex saw its pre-batch score
+        touched.sort_by_key(|&(v, _)| v);
+        touched.dedup_by_key(|&mut (v, _)| v);
+
+        let mut removed: Vec<u128> = Vec::with_capacity(touched.len());
+        let mut inserted: Vec<(u128, u64, f64)> =
+            Vec::with_capacity(touched.len() + (self.scores.len - old_len));
+        for &(v, old) in &touched {
+            let new = self.scores.get(v as usize);
+            if new.to_bits() != old.to_bits() {
+                removed.push(rank_key(old, v));
+                inserted.push((rank_key(new, v), priority(v), new));
+            }
+        }
+        for vi in old_len..self.scores.len {
+            let (v, x) = (vi as u32, self.scores.get(vi));
+            inserted.push((rank_key(x, v), priority(v), x));
+        }
+        removed.sort_unstable();
+        inserted.sort_unstable_by_key(|&(key, _, _)| key);
+
+        let root = difference(self.root.take(), &removed);
+        self.root = union(root, build_sorted(&inserted));
     }
 
     /// The top `k` vertex ids — bitwise the same list as
@@ -451,6 +534,22 @@ impl RankIndex {
     /// Iterate the indexed scores in vertex-id order.
     pub fn scores_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.scores.iter()
+    }
+
+    /// The tree's shape as a preorder list of `(vertex, subtree size)`.
+    /// Together with the scores it determines the tree, so two indexes
+    /// are structurally identical exactly when their shapes and score bits
+    /// agree — how tests and benches check that a delta-maintained index
+    /// equals [`RankIndex::from_scores`] of the same vector.
+    pub fn shape(&self) -> Vec<(u32, usize)> {
+        let mut out = Vec::with_capacity(self.len());
+        let mut stack: Vec<&Arc<Node>> = self.root.iter().collect();
+        while let Some(n) = stack.pop() {
+            out.push((n.vertex(), n.size));
+            stack.extend(n.right.iter());
+            stack.extend(n.left.iter());
+        }
+        out
     }
 }
 
@@ -551,6 +650,80 @@ mod tests {
             }
         }
         assert_matches_oracle(&ix, &scores);
+    }
+
+    /// Structural identity with a rebuild: same shape, same score bits.
+    fn assert_same_tree(ix: &RankIndex, scores: &[f64], ctx: &str) {
+        let rebuilt = RankIndex::from_scores(scores);
+        assert_eq!(ix.shape(), rebuilt.shape(), "{ctx}: shape diverges");
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(ix.to_scores()), bits(rebuilt.to_scores()), "{ctx}");
+    }
+
+    #[test]
+    fn batched_apply_is_structurally_identical_to_rebuild() {
+        let mut s = 0x0ba7_c4ed_u64;
+        let n0 = 40;
+        let mut scores = adversarial_scores(n0, 11);
+        let mut ix = RankIndex::from_scores(&scores);
+        for step in 0..200u64 {
+            let n = scores.len();
+            let k = 1 + (xorshift(&mut s) % n as u64) as usize;
+            let mut batch: Vec<(u32, f64)> = Vec::with_capacity(k + 2);
+            for _ in 0..k {
+                let v = (xorshift(&mut s) % n as u64) as u32;
+                let x = match xorshift(&mut s) % 4 {
+                    // a bit-equal no-op entry
+                    0 => scores[v as usize],
+                    _ => adversarial_scores(1, xorshift(&mut s))[0],
+                };
+                batch.push((v, x));
+                // duplicates: a later entry for the same vertex wins
+                if xorshift(&mut s).is_multiple_of(5) {
+                    batch.push((v, adversarial_scores(1, xorshift(&mut s))[0]));
+                }
+            }
+            // occasional out-of-order growth with a gap, then a write
+            // into the gap
+            if step.is_multiple_of(7) {
+                let far = (n + 1 + (xorshift(&mut s) % 3) as usize) as u32;
+                batch.insert(k / 2, (far, adversarial_scores(1, step)[0]));
+                batch.push((far - 1, 5.0));
+            }
+            // the sequential reference semantics of `set`
+            for &(v, x) in &batch {
+                if v as usize >= scores.len() {
+                    scores.resize(v as usize + 1, 0.0);
+                }
+                scores[v as usize] = x;
+            }
+            // a snapshot taken before the batch must not see it
+            let (snap, snap_scores) = (ix.clone(), ix.to_scores());
+            ix.apply(&ScoreDelta::Sparse(batch));
+            assert_same_tree(&ix, &scores, &format!("step {step}"));
+            assert_same_tree(&snap, &snap_scores, &format!("snapshot {step}"));
+        }
+        assert_matches_oracle(&ix, &scores);
+    }
+
+    #[test]
+    fn whole_vector_batch_and_point_sets_agree() {
+        let before = adversarial_scores(64, 5);
+        let after = adversarial_scores(64, 6);
+        let mut batched = RankIndex::from_scores(&before);
+        batched.apply(&ScoreDelta::Sparse(
+            after
+                .iter()
+                .enumerate()
+                .map(|(v, &x)| (v as u32, x))
+                .collect(),
+        ));
+        let mut pointwise = RankIndex::from_scores(&before);
+        for (v, &x) in after.iter().enumerate().rev() {
+            pointwise.set(v as u32, x);
+        }
+        assert_same_tree(&batched, &after, "batch");
+        assert_same_tree(&pointwise, &after, "point sets");
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl SessionBuilder {
                 Ok(Session {
                     engine,
                     durable: None,
-                    rank: RankIndex::new(),
+                    rank: Some(RankIndex::new()),
                     history: None,
                     seq: 0,
                 })
@@ -408,7 +408,7 @@ impl SessionBuilder {
                 let mut session = Session {
                     engine: Box::new(state),
                     durable: Some(durable),
-                    rank: RankIndex::new(),
+                    rank: Some(RankIndex::new()),
                     history: Some(history),
                     seq: 0,
                 };
@@ -444,7 +444,7 @@ impl SessionBuilder {
                 let mut session = Session {
                     engine: Box::new(engine),
                     durable: Some(durable),
-                    rank: RankIndex::new(),
+                    rank: Some(RankIndex::new()),
                     history: Some(history),
                     seq: 0,
                 };
@@ -679,7 +679,9 @@ pub struct Session {
     /// Incrementally maintained score order, refreshed lazily from the
     /// engine's score deltas on ranked reads (`top_k`, `rank_of`,
     /// `percentile`) — so the write path never pays a reduce for it.
-    rank: RankIndex,
+    /// `None` once a caller drained deltas past it
+    /// ([`Session::take_score_delta`]): the next ranked read rebuilds it.
+    rank: Option<RankIndex>,
     /// The update history journal of a durable session; `None` for memory
     /// sessions and directories that predate the history subsystem.
     history: Option<HistoryLog>,
@@ -755,7 +757,7 @@ impl Session {
                 let state = BetweennessState::resume(graph, store, manifest.cfg.clone())?;
                 Ok(Session {
                     engine: Box::new(state),
-                    rank: RankIndex::new(),
+                    rank: Some(RankIndex::new()),
                     durable: Some(Durable {
                         dir,
                         kind: DurableKind::Disk,
@@ -813,7 +815,7 @@ impl Session {
                 let engine = ClusterEngine::resume(&graph, manifest.cfg.clone(), stores, version)?;
                 Ok(Session {
                     engine: Box::new(engine),
-                    rank: RankIndex::new(),
+                    rank: Some(RankIndex::new()),
                     durable: Some(Durable {
                         dir,
                         kind: DurableKind::Sharded,
@@ -926,46 +928,46 @@ impl Session {
     /// from a fresh [`Session::scores`] read, without the per-query
     /// re-sort.
     pub fn top_k(&mut self, k: usize) -> Result<Vec<VertexId>, SessionError> {
-        self.refresh_rank()?;
-        Ok(self.rank.top_k(k))
+        Ok(self.rank_index()?.top_k(k))
     }
 
     /// 1-based rank of `v` in the current centrality order (1 = most
     /// central, ties toward smaller id); `None` for an unknown vertex.
     /// `O(log n)` after the delta refresh.
     pub fn rank_of(&mut self, v: VertexId) -> Result<Option<usize>, SessionError> {
-        self.refresh_rank()?;
-        Ok(self.rank.rank_of(v))
+        Ok(self.rank_index()?.rank_of(v))
     }
 
     /// Fraction of vertices ranked at or below `v` — `1.0` for the
     /// current leader, `1/n` for the last place; `None` for an unknown
     /// vertex. `O(log n)` after the delta refresh.
     pub fn percentile(&mut self, v: VertexId) -> Result<Option<f64>, SessionError> {
-        self.refresh_rank()?;
-        Ok(self.rank.percentile(v))
+        Ok(self.rank_index()?.percentile(v))
     }
 
-    /// Drain the engine's score delta since the last drain, keeping the
-    /// session's own [`RankIndex`] in sync before handing the delta to the
-    /// caller (the serve writer feeds its snapshot index from this).
+    /// Drain the engine's score delta since the last drain for a caller
+    /// that keeps its own index (the serve writer feeds its snapshot index
+    /// from this). The session's index is only marked stale — the next
+    /// ranked read rebuilds it once from the engine's scores — so a served
+    /// session folds each delta into one index, not two.
     pub fn take_score_delta(&mut self) -> Result<ScoreDelta, SessionError> {
-        let delta = self.engine.take_score_delta()?;
-        self.rank.apply(&delta);
-        Ok(delta)
+        self.rank = None;
+        Ok(self.engine.take_score_delta()?)
     }
 
     /// A read-only view of the session's rank index, refreshed to the
     /// engine's current scores.
     pub fn rank_index(&mut self) -> Result<&RankIndex, SessionError> {
-        self.refresh_rank()?;
-        Ok(&self.rank)
-    }
-
-    fn refresh_rank(&mut self) -> Result<(), SessionError> {
-        let delta = self.engine.take_score_delta()?;
-        self.rank.apply(&delta);
-        Ok(())
+        let rank = match self.rank.take() {
+            Some(mut rank) => {
+                rank.apply(&self.engine.take_score_delta()?);
+                rank
+            }
+            // drained deltas carry current values, so a rebuild from the
+            // scores is what applying every one of them would have built
+            None => RankIndex::from_scores(&self.engine.scores()?.scores.vbc),
+        };
+        Ok(self.rank.insert(rank))
     }
 
     /// Jaccard similarity between this session's current top-`k` vertex set

@@ -9,6 +9,8 @@
 //! This is the acceptance oracle for the delta feed: any missed dirty
 //! mark in the kernel, any drift between a sparse drain and the engine's
 //! scores, or any tie-break divergence in the treap key order fails here.
+//! A second property feeds multi-update batches and checks that each
+//! batched delta leaves a tree structurally identical to a rebuild.
 //!
 //! The vendored proptest stub derives each test's RNG seed from the test
 //! name, so CI runs are reproducible by construction.
@@ -16,6 +18,7 @@
 use proptest::collection;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use streaming_bc::core::rankindex::RankIndex;
 use streaming_bc::core::ranking;
 use streaming_bc::gen::models::holme_kim;
 use streaming_bc::graph::Graph;
@@ -102,6 +105,66 @@ fn assert_index_matches_oracle(ctx: &str, seed: u64, session: &mut Session) {
         );
     }
     prop_assert_eq!(session.rank_of(n as u32 + 9).unwrap(), None);
+}
+
+/// Translate one history step into the updates it stands for, applying
+/// them to the mirror graph as it goes.
+fn updates_for(op: HistOp, mirror: &mut Graph) -> Vec<Update> {
+    let n = mirror.n();
+    let updates = match op {
+        HistOp::Toggle { u_pick, v_pick } => {
+            let (u, v) = ((u_pick % n) as u32, (v_pick % n) as u32);
+            if u == v {
+                vec![]
+            } else if mirror.has_edge(u, v) {
+                vec![Update::remove(u, v)]
+            } else {
+                vec![Update::add(u, v)]
+            }
+        }
+        HistOp::Grow { u_pick } => vec![Update::add((u_pick % n) as u32, n as u32)],
+        HistOp::Disconnect { v_pick } => {
+            let v = (v_pick % n) as u32;
+            (0..n as u32)
+                .filter(|&w| w != v && mirror.has_edge(v, w))
+                .map(|w| Update::remove(v, w))
+                .collect()
+        }
+    };
+    for u in &updates {
+        match u.op {
+            streaming_bc::graph::EdgeOp::Add => {
+                while (mirror.n() as u32) <= u.u.max(u.v) {
+                    mirror.add_vertex();
+                }
+                mirror.add_edge(u.u, u.v).unwrap();
+            }
+            streaming_bc::graph::EdgeOp::Remove => {
+                mirror.remove_edge(u.u, u.v).unwrap();
+            }
+        }
+    }
+    updates
+}
+
+/// `ix` is the tree a from-scratch build over `vbc` gives: same shape,
+/// same score bits.
+fn assert_is_rebuild(ctx: &str, seed: u64, ix: &RankIndex, vbc: &[f64]) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(
+        ix.shape(),
+        RankIndex::from_scores(vbc).shape(),
+        "{} seed={}: tree shape diverged from a rebuild",
+        ctx,
+        seed
+    );
+    prop_assert_eq!(
+        bits(&ix.to_scores()),
+        bits(vbc),
+        "{} seed={}: index scores diverged from engine scores",
+        ctx,
+        seed
+    );
 }
 
 proptest! {
@@ -208,6 +271,59 @@ proptest! {
         }
 
         drop(sessions); // release the disk stores before cleanup
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Multi-update batches on sharded p=3 sessions: each batch's drained
+    /// delta moves many scores at once and is folded in as one batched
+    /// treap write. Whether it feeds an external index (the serve
+    /// writer's path) or the session's own lazy index, the result is
+    /// structurally identical to a rebuild from the engine's scores.
+    #[test]
+    fn batched_deltas_leave_the_rebuild_tree(
+        seed in 0u64..1_000,
+        batches in collection::vec(collection::vec(hist_op(), 1..6), 1..8),
+    ) {
+        let g = holme_kim(16, 2, 0.35, seed);
+        let case = CASE.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!(
+            "sbc_proptest_rank_batch_{}_{case}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sharded = |name: &str| {
+            Session::builder()
+                .backend(Backend::Sharded(dir.join(name)))
+                .workers(3)
+                .build(&g)
+                .unwrap()
+        };
+        // `drained` hands every delta to an outside index; `lazy` keeps
+        // its own index and folds the engine's delta on each ranked read
+        let (mut drained, mut lazy) = (sharded("drained"), sharded("lazy"));
+        let mut outside = RankIndex::new();
+        let mut mirror: Graph = g.clone();
+
+        for ops in &batches {
+            let updates: Vec<Update> = ops
+                .iter()
+                .flat_map(|&op| updates_for(op, &mut mirror))
+                .collect();
+            drained.apply_stream(&updates).unwrap();
+            lazy.apply_stream(&updates).unwrap();
+
+            outside.apply(&drained.take_score_delta().unwrap());
+            let vbc = drained.scores().unwrap().scores.vbc;
+            assert_is_rebuild("outside index", seed, &outside, &vbc);
+            // the drained session's own index was left stale and rebuilds
+            assert_is_rebuild("stale session index", seed, drained.rank_index().unwrap(), &vbc);
+
+            let vbc = lazy.scores().unwrap().scores.vbc;
+            assert_is_rebuild("lazy session index", seed, lazy.rank_index().unwrap(), &vbc);
+            assert_index_matches_oracle("lazy p=3", seed, &mut lazy);
+        }
+
+        drop((drained, lazy)); // release the shard stores before cleanup
         std::fs::remove_dir_all(&dir).ok();
     }
 }
