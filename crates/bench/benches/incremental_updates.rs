@@ -1,7 +1,6 @@
 //! Criterion bench: per-update latency of the incremental kernel — the
 //! quantity behind every speedup in Tables 3/4 and Figures 5/6 — plus the
-//! ablations called out in DESIGN.md (predecessor-list maintenance, exact
-//! pruning).
+//! predecessor-list ablation called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ebc_core::incremental::UpdateConfig;
@@ -25,14 +24,6 @@ fn bench_updates(c: &mut Criterion) {
             "MP_pred_lists",
             UpdateConfig {
                 maintain_predecessors: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "MO_pruned",
-            UpdateConfig {
-                prune_unchanged: true,
-                ..Default::default()
             },
         ),
     ] {

@@ -3,11 +3,9 @@
 //!
 //! 1. predecessor-list maintenance (the paper's MP) vs predecessor-free (MO)
 //!    — the §3 "Memory optimisation" claim;
-//! 2. exact ancestor-walk pruning on/off — our extension over the paper's
-//!    always-walk Algorithm 3;
-//! 3. paper codec (11 B/vertex) vs wide codec (20 B/vertex) on disk — the
+//! 2. paper codec (11 B/vertex) vs wide codec (20 B/vertex) on disk — the
 //!    §5.1 storage trade-off;
-//! 4. the `dd == 0` skip rate — how much work Proposition 3.1 saves.
+//! 3. the `dd == 0` skip rate — how much work Proposition 3.1 saves.
 
 use ebc_bench::{addition_updates, mean, removal_updates, time_once, update_times, Args, Variant};
 use ebc_core::incremental::UpdateConfig;
@@ -46,34 +44,8 @@ fn main() {
         100.0 * (t_mp - t_mo) / t_mo
     );
 
-    // 2. pruning
-    let mut timings = Vec::new();
-    for (label, prune) in [
-        ("walk-to-source (paper)", false),
-        ("exact pruning (ours)", true),
-    ] {
-        let cfg = UpdateConfig {
-            prune_unchanged: prune,
-            ..Default::default()
-        };
-        let mut st = BetweennessState::new_with(s.graph.clone(), cfg);
-        let (_, dt) = time_once(|| {
-            for &(op, u, v) in adds.iter().chain(&rems) {
-                st.apply(Update { op, u, v }).expect("valid");
-            }
-        });
-        timings.push((label, dt.as_secs_f64(), st.stats().popped));
-    }
-    println!("\n2. ancestor-walk pruning (adds + removals):");
-    for (label, secs, popped) in &timings {
-        println!(
-            "   {label:<24} {:.3} s total, {popped} vertices popped",
-            secs
-        );
-    }
-
-    // 3. codecs
-    println!("\n3. on-disk codec (bootstrap + {} additions):", adds.len());
+    // 2. codecs
+    println!("\n2. on-disk codec (bootstrap + {} additions):", adds.len());
     for codec in [CodecKind::Paper, CodecKind::Wide] {
         let dir = std::env::temp_dir().join("ebc_ablation");
         std::fs::create_dir_all(&dir).unwrap();
@@ -96,7 +68,7 @@ fn main() {
         );
     }
 
-    // 4. skip rate
+    // 3. skip rate
     let mut st = BetweennessState::new(&s.graph);
     for &(op, u, v) in adds.iter().chain(&rems) {
         st.apply(Update { op, u, v }).expect("valid");
@@ -104,7 +76,7 @@ fn main() {
     let st_stats = st.stats();
     let total = st_stats.sources_processed + st_stats.sources_skipped;
     println!(
-        "\n4. Proposition 3.1 skip rate: {}/{} sources ({:.1}%) skipped via dd == 0",
+        "\n3. Proposition 3.1 skip rate: {}/{} sources ({:.1}%) skipped via dd == 0",
         st_stats.sources_skipped,
         total,
         100.0 * st_stats.sources_skipped as f64 / total as f64

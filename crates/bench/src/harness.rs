@@ -148,7 +148,6 @@ pub fn update_times(g: &Graph, updates: &[(EdgeOp, u32, u32)], variant: Variant)
     let cfg = match variant {
         Variant::Mp => UpdateConfig {
             maintain_predecessors: true,
-            ..Default::default()
         },
         _ => UpdateConfig::default(),
     };

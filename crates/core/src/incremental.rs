@@ -32,22 +32,20 @@
 //!   exactly when nothing changed. New-DAG predecessors of every popped
 //!   vertex are enqueued in turn (the paper's `UP` fringe, Algorithm 3),
 //!   carrying corrections up to the source.
+//!
+//! Phase B scans each popped vertex's adjacency once: pull, correction and
+//! enqueue share the loop. A *clean* pair — popped vertex outside `T`,
+//! neighbour neither in `T` nor popped, not the added edge — has `c == α`
+//! bit for bit, so it only pulls (or enqueues) and skips the edge-slot
+//! write, which would add `+0.0`.
 
 use crate::bd::SourceViewMut;
 use crate::scores::Scores;
-use ebc_graph::{EdgeKey, EdgeOp, GraphView, VertexId, UNREACHABLE};
+use ebc_graph::{EdgeOp, GraphView, VertexId, UNREACHABLE};
 
 /// Tuning knobs for the update kernel.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateConfig {
-    /// When `true`, a popped vertex that is outside the touched set and whose
-    /// recomputed dependency is bitwise-identical to the stored one does not
-    /// enqueue its predecessors, cutting the ancestor walk short. The paper's
-    /// Algorithm 3 always walks corrections up to the source (`false`).
-    /// Pruning is exact because bootstrap and kernel share the same
-    /// pull-in-adjacency-order summation (see module docs); it is exposed as
-    /// an ablation for the benchmark suite.
-    pub prune_unchanged: bool,
     /// When `true`, the kernel additionally maintains materialised
     /// predecessor lists for every vertex it touches — the bookkeeping the
     /// paper's *MP* configuration (and Green et al.'s algorithm) pays and
@@ -188,8 +186,8 @@ impl Workspace {
         self.grow(n);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // wrapped: invalidate all stamps
-            self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
+            // wrapped: invalidate all stamps with 0, the one epoch never live
+            self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
         self.touched_list.clear();
@@ -289,7 +287,7 @@ pub fn update_source<G: GraphView>(
 
     let (uh, ul) = if d1 < d2 { (u1, u2) } else { (u2, u1) };
     let added = match op {
-        EdgeOp::Add => Some(EdgeKey::new(u1, u2)),
+        EdgeOp::Add => Some((u1, u2)),
         EdgeOp::Remove => None,
     };
 
@@ -343,7 +341,8 @@ struct Kernel<'a, G: GraphView> {
     old_del: &'a [f64],
     scores: &'a mut Scores,
     ws: &'a mut Workspace,
-    added: Option<EdgeKey>,
+    /// Endpoints of the added edge (`None` for a removal).
+    added: Option<(u32, u32)>,
     cfg: &'a UpdateConfig,
 }
 
@@ -363,17 +362,6 @@ impl<'a, G: GraphView> Kernel<'a, G> {
             self.ws.nsig[v as usize]
         } else {
             self.old_sig[v as usize]
-        }
-    }
-
-    /// Dependency of `v` as seen by a shallower vertex: the finalised new
-    /// value if `v` was popped this update, otherwise the stored one.
-    #[inline]
-    fn delta_star(&self, v: u32) -> f64 {
-        if self.ws.flag(v) & F_POP != 0 {
-            self.ws.ndel[v as usize]
-        } else {
-            self.old_del[v as usize]
         }
     }
 
@@ -560,11 +548,13 @@ impl<'a, G: GraphView> Kernel<'a, G> {
         self.ws.stats.touched += self.ws.t_list.len() as u64;
     }
 
-    fn enqueue(&mut self, v: u32) {
-        if self.ws.flag(v) & F_ENQ != 0 {
+    /// Queue `v` (flags `fv`, new level `lvl`) for phase B unless it is
+    /// queued already.
+    #[inline]
+    fn enqueue(&mut self, v: u32, fv: u8, lvl: u32) {
+        if fv & F_ENQ != 0 {
             return;
         }
-        let lvl = self.cur_d(v);
         debug_assert_ne!(
             lvl, UNREACHABLE,
             "unreachable vertices are always in T and pre-enqueued"
@@ -590,7 +580,8 @@ impl<'a, G: GraphView> Kernel<'a, G> {
         if matches!(op, EdgeOp::Remove) {
             // The removed partner is no longer adjacent to uL, so the scan
             // cannot discover it: enqueue explicitly (Alg. 2 line 13).
-            self.enqueue(uh);
+            let (f, lvl) = (self.ws.flag(uh), self.cur_d(uh));
+            self.enqueue(uh, f, lvl);
         }
         for i in 0..self.ws.inf_bucket.len() {
             let w = self.ws.inf_bucket[i];
@@ -608,48 +599,100 @@ impl<'a, G: GraphView> Kernel<'a, G> {
         }
     }
 
-    /// Finalise one vertex: pull the new dependency from new-DAG successors,
-    /// fix edge scores against old-DAG pairs, update VBC, propagate upward.
+    /// Finalise one vertex in one scan of its adjacency: pull the new
+    /// dependency from new-DAG successors, fix edge scores against old-DAG
+    /// pairs, and enqueue the predecessors the correction must reach.
     fn pop_vertex(&mut self, w: u32, lvl: u32) {
-        debug_assert!(self.ws.flag(w) & F_POP == 0, "vertex popped twice");
+        let fw = self.ws.flag(w);
+        debug_assert!(fw & F_POP == 0, "vertex popped twice");
         self.ws.stats.popped += 1;
         let dw_old = self.old_d[w as usize];
         let sw_new = self.cur_sig(w) as f64;
         let sw_old = self.old_sig[w as usize] as f64;
         let w_reachable = lvl != UNREACHABLE;
+        // A vertex outside T kept its d and σ: lvl == dw_old, sw_new == sw_old.
+        let w_clean = fw & F_T == 0;
+        debug_assert!(!w_clean || lvl == dw_old);
+        // The other endpoint of the added edge if w is one, else a
+        // vertex id no neighbour can have.
+        let partner = match self.added {
+            Some((a, b)) if a == w => b,
+            Some((a, b)) if b == w => a,
+            _ => UNREACHABLE,
+        };
         let mut dep = 0.0;
         for h in self.g.neighbors(w) {
             let x = h.to;
-            let dx_new = self.cur_d(x);
-            let dx_old = self.old_d[x as usize];
+            let xi = x as usize;
+            let fx = self.ws.flag(x);
+            let dx_old = self.old_d[xi];
+            if w_clean && fx & (F_T | F_POP) == 0 && x != partner {
+                // Clean pair: every input of the pair is its stored value,
+                // so x is a new-DAG successor iff it was an old one and the
+                // edge credit c equals the retracted α bit for bit. Their
+                // net `c − α` is +0.0, which leaves the slot's bits as they
+                // are (ebc is never −0.0), so only the pull remains.
+                if dx_old == lvl + 1 {
+                    dep += sw_new / self.old_sig[xi] as f64 * (1.0 + self.old_del[xi]);
+                } else if dx_old != UNREACHABLE && dx_old + 1 == lvl {
+                    self.enqueue(x, fx, dx_old); // new-DAG predecessor
+                }
+                continue;
+            }
+            let dx_new = if fx & F_ND != 0 {
+                self.ws.nd[xi]
+            } else {
+                dx_old
+            };
             // (1) x is a new-DAG successor: pull dependency, credit the edge.
             // (2) x was an old-DAG successor: retract the old contribution α
             //     (skipped for the freshly added edge, which had none).
             // The two corrections land on the same edge slot, so they are
-            // applied as one net `c − α` update: when nothing changed they
-            // cancel *exactly* (c == α bitwise), making the pop of an
-            // unchanged vertex a no-op on the scores. This is what makes the
-            // `prune_unchanged` ablation bitwise-neutral (see UpdateConfig).
+            // applied as one net `c − α` update.
             let is_new_succ = w_reachable && dx_new != UNREACHABLE && dx_new == lvl + 1;
             let is_old_succ = dw_old != UNREACHABLE
                 && dx_old != UNREACHABLE
                 && dx_old == dw_old + 1
-                && self.added != Some(EdgeKey::new(w, x));
-            if !is_new_succ && !is_old_succ {
-                continue;
+                && x != partner;
+            if is_new_succ || is_old_succ {
+                let mut edge_correction = 0.0;
+                if is_new_succ {
+                    let sx = if fx & F_SIG != 0 {
+                        self.ws.nsig[xi]
+                    } else {
+                        self.old_sig[xi]
+                    };
+                    let dlx = if fx & F_POP != 0 {
+                        self.ws.ndel[xi]
+                    } else {
+                        self.old_del[xi]
+                    };
+                    let c = sw_new / sx as f64 * (1.0 + dlx);
+                    dep += c;
+                    edge_correction += c;
+                }
+                if is_old_succ {
+                    edge_correction -= sw_old / self.old_sig[xi] as f64 * (1.0 + self.old_del[xi]);
+                }
+                self.scores.ebc[h.eid as usize] += edge_correction;
             }
-            let mut edge_correction = 0.0;
-            if is_new_succ {
-                let c = sw_new / self.cur_sig(x) as f64 * (1.0 + self.delta_star(x));
-                dep += c;
-                edge_correction += c;
+            if w_reachable && dx_new != UNREACHABLE && dx_new + 1 == lvl {
+                // new-DAG predecessor: unconditional UP-touch (Alg. 3 line 2)
+                self.enqueue(x, fx, dx_new);
+            } else if dw_old != UNREACHABLE
+                && dx_old != UNREACHABLE
+                && dx_old + 1 == dw_old
+                && x != partner
+            {
+                // x was an old-DAG predecessor but no longer is: it loses its
+                // α(x,w) contribution and must pop too. If the pair broke
+                // because x became unreachable, x is in T already.
+                if dx_new != UNREACHABLE {
+                    self.enqueue(x, fx, dx_new);
+                } else {
+                    debug_assert!(fx & F_ENQ != 0);
+                }
             }
-            if is_old_succ {
-                let alpha =
-                    sw_old / self.old_sig[x as usize] as f64 * (1.0 + self.old_del[x as usize]);
-                edge_correction -= alpha;
-            }
-            self.scores.ebc[h.eid as usize] += edge_correction;
         }
         if self.cfg.maintain_predecessors {
             // MP cost model: rewrite this vertex's predecessor list the way
@@ -682,37 +725,6 @@ impl<'a, G: GraphView> Kernel<'a, G> {
         }
         self.ws.set_flag(w, F_POP);
         self.ws.ndel[w as usize] = dep;
-
-        // Propagation. Pruning (exact, see UpdateConfig) may stop the
-        // ancestor walk when nothing about w changed.
-        let w_changed = self.ws.flag(w) & F_T != 0 || dep != delta_old;
-        if self.cfg.prune_unchanged && !w_changed {
-            return;
-        }
-        for h in self.g.neighbors(w) {
-            let x = h.to;
-            let dx_new = self.cur_d(x);
-            if w_reachable && dx_new != UNREACHABLE && dx_new + 1 == lvl {
-                // new-DAG predecessor: unconditional UP-touch (Alg. 3 line 2)
-                self.enqueue(x);
-            } else {
-                let dx_old = self.old_d[x as usize];
-                if dw_old != UNREACHABLE
-                    && dx_old != UNREACHABLE
-                    && dx_old + 1 == dw_old
-                    && self.added != Some(EdgeKey::new(w, x))
-                {
-                    // x was an old-DAG predecessor but no longer is: it loses
-                    // its α(x,w) contribution and must pop too. If the pair
-                    // broke because x became unreachable, x is in T already.
-                    if dx_new != UNREACHABLE {
-                        self.enqueue(x);
-                    } else {
-                        debug_assert!(self.ws.flag(x) & F_ENQ != 0);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -735,10 +747,6 @@ mod tests {
 
     impl Harness {
         fn new(g: Graph) -> Self {
-            Self::with_config(g, UpdateConfig::default())
-        }
-
-        fn with_config(g: Graph, cfg: UpdateConfig) -> Self {
             let mut store = MemoryBdStore::new(g.n());
             let mut scores = Scores::zeros_for(&g);
             for s in g.vertices() {
@@ -751,7 +759,7 @@ mod tests {
                 store,
                 scores,
                 ws: Workspace::new(n),
-                cfg,
+                cfg: UpdateConfig::default(),
             }
         }
 
@@ -941,21 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_matches_unpruned() {
-        let mut pruned = Harness::with_config(
-            path(8),
-            UpdateConfig {
-                prune_unchanged: true,
-                ..Default::default()
-            },
-        );
-        pruned.add(2, 6);
-        pruned.check("pruned add");
-        pruned.remove(3, 4);
-        pruned.check("pruned remove");
-    }
-
-    #[test]
     fn long_mixed_sequence() {
         let mut g = Graph::with_vertices(10);
         for (u, v) in [
@@ -992,6 +985,23 @@ mod tests {
             }
             h.check(&format!("mixed step {i}"));
         }
+    }
+
+    #[test]
+    fn epoch_wrap_leaves_no_live_stale_stamps() {
+        let mut ws = Workspace::new(4);
+        ws.begin(4);
+        ws.set_flag(2, F_POP);
+        assert_eq!(ws.flag(2), F_POP);
+        ws.epoch = u32::MAX;
+        ws.begin(4); // wraps
+        assert_eq!(ws.flag(2), 0);
+        // reaching u32::MAX again must not revive the wrapped stamps
+        ws.epoch = u32::MAX - 1;
+        ws.begin(4);
+        assert_eq!(ws.epoch, u32::MAX);
+        assert_eq!(ws.flag(2), 0);
+        assert_eq!(ws.flag(3), 0);
     }
 
     #[test]

@@ -109,14 +109,6 @@ proptest! {
         run_script(g, &script, UpdateConfig::default());
     }
 
-    #[test]
-    fn incremental_matches_recompute_with_pruning(
-        g in graph_strategy(),
-        script in proptest::collection::vec(script_strategy(), 1..25),
-    ) {
-        run_script(g, &script, UpdateConfig { prune_unchanged: true, ..Default::default() });
-    }
-
     /// Adding then removing the same edge must restore the exact scores the
     /// graph had before (up to float tolerance).
     #[test]

@@ -706,10 +706,11 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// Force data and index to durable storage.
+    /// Force record data to durable storage. The `.idx` sidecar is not
+    /// rewritten here: every operation that changes the source order
+    /// replaces it before returning, and recovery at open repairs a torn one.
     pub fn flush(&mut self) -> BdResult<()> {
         self.file.sync_data()?;
-        write_sidecar_atomic(&self.path, &self.order)?;
         Ok(())
     }
 }
@@ -1275,6 +1276,29 @@ mod tests {
             false
         })
         .unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn flush_leaves_an_unchanged_sidecar_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmpdir("sidecar_flush").join("bd.dat");
+        let ino = || std::fs::metadata(sidecar_for(&path)).unwrap().ino();
+        let mut st = DiskBdStore::create(&path, 4, CodecKind::Wide).unwrap();
+        let (d, s, del) = sample_record(4, 1);
+        st.add_source(1, d, s, del).unwrap();
+        let before = ino();
+        st.update_with(1, &mut |view| {
+            view.delta[0] += 1.0;
+            true
+        })
+        .unwrap();
+        st.flush().unwrap();
+        assert_eq!(ino(), before, "flush rewrote an unchanged sidecar");
+        let (d, s, del) = sample_record(4, 2);
+        st.add_source(2, d, s, del).unwrap();
+        assert_ne!(ino(), before, "add_source must replace the sidecar");
+        assert_eq!(read_sidecar_ids(&path).unwrap(), [1, 2]);
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Kernel configuration (pruning and predecessor-maintenance knobs).
+    /// Kernel configuration (the predecessor-maintenance knob).
     pub fn config(mut self, cfg: UpdateConfig) -> Self {
         self.cfg = cfg;
         self
@@ -539,11 +539,10 @@ fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Ve
         CodecKind::Paper => "paper",
     };
     let header = format!(
-        "backend={}\nworkers={}\ncodec={codec}\nprune={}\npreds={}\n\
+        "backend={}\nworkers={}\ncodec={codec}\nprune=0\npreds={}\n\
          session={:016x}\nmap_version={map_version}\nseq={seq}\nsnapshot_len={}\n",
         d.kind.as_str(),
         d.workers,
-        u8::from(d.cfg.prune_unchanged),
         u8::from(d.cfg.maintain_predecessors),
         d.session_id,
         snapshot.len(),
@@ -608,10 +607,11 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
         "paper" => CodecKind::Paper,
         other => return Err(corrupt(format!("unknown codec {other:?}"))),
     };
-    let flag = |v: &str| matches!(v, "1");
+    // `prune=` is reserved: written as 0, any value read (the knob it held
+    // is gone and never changed scores)
+    field(4, "prune")?;
     let cfg = UpdateConfig {
-        prune_unchanged: flag(field(4, "prune")?),
-        maintain_predecessors: flag(field(5, "preds")?),
+        maintain_predecessors: field(5, "preds")? == "1",
     };
     let session_id = u64::from_str_radix(field(6, "session")?, 16)
         .map_err(|_| corrupt("bad session id field"))?;
