@@ -34,6 +34,7 @@ use ebc_core::scores::Scores;
 use ebc_core::state::Update;
 use ebc_engine::shardmap::{ShardMap, SourceMove};
 use ebc_graph::{EdgeOp, Graph};
+use ebc_store::DurableError;
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -141,7 +142,7 @@ pub enum ClusterError {
     /// The protocol broke down (unexpected reply shape).
     Protocol(String),
     /// The coordinator's durable journal (`--dir`) failed or is corrupt.
-    Durability(String),
+    Durability(DurableError),
 }
 
 impl fmt::Display for ClusterError {
@@ -153,12 +154,18 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::Node { kind, msg } => write!(f, "node error ({kind:?}): {msg}"),
             ClusterError::Protocol(m) => write!(f, "protocol: {m}"),
-            ClusterError::Durability(m) => write!(f, "durability: {m}"),
+            ClusterError::Durability(e) => write!(f, "coordinator journal: {e}"),
         }
     }
 }
 
 impl std::error::Error for ClusterError {}
+
+impl From<DurableError> for ClusterError {
+    fn from(e: DurableError) -> Self {
+        ClusterError::Durability(e)
+    }
+}
 
 /// Outcome of one replicated update.
 #[derive(Debug, Clone)]
@@ -230,7 +237,7 @@ impl<T: Transport> Coordinator<T> {
     /// running fleet. Call before [`bootstrap`](Coordinator::bootstrap);
     /// calling later snapshots the current state immediately.
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), ClusterError> {
-        self.journal = Some(CoordJournal::create(dir).map_err(ClusterError::Durability)?);
+        self.journal = Some(CoordJournal::create(dir)?);
         if !self.groups.is_empty() {
             self.snapshot_now(false)?;
         }
@@ -273,7 +280,7 @@ impl<T: Transport> Coordinator<T> {
             .as_mut()
             .expect("journal checked above")
             .write_snapshot(&snap, in_flight)
-            .map_err(ClusterError::Durability)
+            .map_err(ClusterError::from)
     }
 
     /// Restart a coordinator from the durable state a previous
@@ -294,12 +301,11 @@ impl<T: Transport> Coordinator<T> {
         cfg: CoordinatorConfig,
         dir: impl AsRef<Path>,
     ) -> Result<Self, ClusterError> {
-        let (journal, snap, base, records) =
-            CoordJournal::open(dir).map_err(ClusterError::Durability)?;
+        let (journal, snap, base, records) = CoordJournal::open(dir)?;
         let replica = Graph::from_snapshot_bytes(&snap.graph)
-            .map_err(|e| ClusterError::Durability(format!("graph replica: {e}")))?;
+            .map_err(|e| DurableError::Corrupt(format!("graph replica: {e}")))?;
         let map = ShardMap::from_assignment_versioned(snap.owned.clone(), snap.version)
-            .map_err(|e| ClusterError::Durability(format!("shard map: {e}")))?;
+            .map_err(|e| DurableError::Corrupt(format!("shard map: {e}")))?;
         let groups = snap
             .groups
             .iter()
@@ -649,15 +655,13 @@ impl<T: Transport> Coordinator<T> {
             // write-ahead: journal the update and its dispatch indices
             // before any shard sees it, so a resumed coordinator can
             // re-drive exactly this entry at exactly these indices
-            journal
-                .append(&JournalRecord {
-                    entry: JournalEntry {
-                        update,
-                        adopter: adopter.map(|k| k as u32),
-                    },
-                    indices: self.next_index.clone(),
-                })
-                .map_err(ClusterError::Durability)?;
+            journal.append(&JournalRecord {
+                entry: JournalEntry {
+                    update,
+                    adopter: adopter.map(|k| k as u32),
+                },
+                indices: self.next_index.clone(),
+            })?;
         }
         let before = self.failovers;
         let mut degraded = Vec::new();

@@ -2,9 +2,11 @@
 //! write-ahead journal that lets `sbc coord` restart and resume command
 //! of a running node fleet.
 //!
-//! Three files live in the coordinator's `--dir`, all built from the
-//! store crate's sealed-file helpers (magic + payload + FNV-1a trailer,
-//! written via tmp+rename):
+//! Three files live in the coordinator's `--dir`, all written through
+//! the store crate's durability layer ([`ebc_store::durable`]): two sealed
+//! files (magic + payload + FNV-1a trailer, atomic replace) and one op
+//! log. Every failure is a typed [`DurableError`] — I/O, or corrupt
+//! bytes:
 //!
 //! * **`coord.snap`** — the control-plane snapshot: map version, the full
 //!   source→shard assignment, the replication groups with their dial
@@ -27,7 +29,7 @@
 
 use ebc_core::state::Update;
 use ebc_graph::stream::EdgeOp;
-use ebc_store::history::{read_sealed, write_sealed};
+use ebc_store::durable::{read_sealed, write_sealed, DurableError};
 use ebc_store::OpLog;
 use std::path::{Path, PathBuf};
 
@@ -104,8 +106,8 @@ pub struct CoordJournal {
     reserved: u64,
 }
 
-fn io_err(e: impl std::fmt::Display) -> String {
-    format!("coordinator journal: {e}")
+fn corrupt(msg: impl Into<String>) -> DurableError {
+    DurableError::Corrupt(msg.into())
 }
 
 struct Cursor<'a> {
@@ -117,26 +119,26 @@ impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, at: 0 }
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DurableError> {
         let end = self
             .at
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| io_err("truncated record"))?;
+            .ok_or_else(|| corrupt("truncated record"))?;
         let s = &self.buf[self.at..end];
         self.at = end;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, DurableError> {
         Ok(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Result<u32, String> {
+    fn u32(&mut self) -> Result<u32, DurableError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, DurableError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn opt_str(&mut self) -> Result<Option<String>, String> {
+    fn opt_str(&mut self) -> Result<Option<String>, DurableError> {
         if self.u8()? == 0 {
             return Ok(None);
         }
@@ -144,13 +146,13 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map(Some)
-            .map_err(|_| io_err("non-utf8 hint"))
+            .map_err(|_| corrupt("non-utf8 hint"))
     }
-    fn done(&self) -> Result<(), String> {
+    fn done(&self) -> Result<(), DurableError> {
         if self.at == self.buf.len() {
             Ok(())
         } else {
-            Err(io_err("trailing bytes in record"))
+            Err(corrupt("trailing bytes in record"))
         }
     }
 }
@@ -207,7 +209,7 @@ fn encode_snapshot(s: &CoordSnapshot) -> Vec<u8> {
     out
 }
 
-fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, String> {
+fn decode_snapshot(buf: &[u8]) -> Result<CoordSnapshot, DurableError> {
     let mut c = Cursor::new(buf);
     let version = c.u64()?;
     let applied = c.u64()?;
@@ -283,12 +285,12 @@ fn encode_record(r: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(buf: &[u8]) -> Result<JournalRecord, String> {
+fn decode_record(buf: &[u8]) -> Result<JournalRecord, DurableError> {
     let mut c = Cursor::new(buf);
     let op = match c.u8()? {
         0 => EdgeOp::Add,
         1 => EdgeOp::Remove,
-        other => return Err(io_err(format!("unknown journal op {other}"))),
+        other => return Err(corrupt(format!("unknown journal op {other}"))),
     };
     let u = c.u32()?;
     let v = c.u32()?;
@@ -319,14 +321,14 @@ impl CoordJournal {
     /// snapshot yet: creates the directory and a fresh (empty) journal.
     /// Any previous journal at the same path is discarded — the caller's
     /// in-memory state is the truth a fresh snapshot will capture.
-    pub fn create(dir: impl AsRef<Path>) -> Result<Self, String> {
+    pub fn create(dir: impl AsRef<Path>) -> Result<Self, DurableError> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        std::fs::create_dir_all(&dir)?;
         let path = dir.join(COORD_OPLOG);
         if path.exists() {
-            std::fs::remove_file(&path).map_err(io_err)?;
+            std::fs::remove_file(&path)?;
         }
-        let oplog = OpLog::open(&path).map_err(io_err)?;
+        let oplog = OpLog::open(&path)?;
         Ok(CoordJournal {
             dir,
             oplog,
@@ -339,11 +341,10 @@ impl CoordJournal {
     /// resumed seq floor.
     pub fn open(
         dir: impl AsRef<Path>,
-    ) -> Result<(Self, CoordSnapshot, u64, Vec<JournalRecord>), String> {
+    ) -> Result<(Self, CoordSnapshot, u64, Vec<JournalRecord>), DurableError> {
         let dir = dir.as_ref().to_path_buf();
-        let snap =
-            decode_snapshot(&read_sealed(&dir.join(COORD_SNAP), SNAP_MAGIC).map_err(io_err)?)?;
-        let oplog = OpLog::open(dir.join(COORD_OPLOG)).map_err(io_err)?;
+        let snap = decode_snapshot(&read_sealed(&dir.join(COORD_SNAP), SNAP_MAGIC)?)?;
+        let oplog = OpLog::open(dir.join(COORD_OPLOG))?;
         let base = oplog.base();
         let mut records = Vec::with_capacity((oplog.len() - base) as usize);
         for entry in oplog.entries() {
@@ -351,7 +352,7 @@ impl CoordJournal {
         }
         let seq_path = dir.join(COORD_SEQ);
         let reserved = if seq_path.is_file() {
-            let payload = read_sealed(&seq_path, SEQ_MAGIC).map_err(io_err)?;
+            let payload = read_sealed(&seq_path, SEQ_MAGIC)?;
             let mut c = Cursor::new(&payload);
             let r = c.u64()?;
             c.done()?;
@@ -382,41 +383,42 @@ impl CoordJournal {
     }
 
     /// Append one write-ahead record and sync it to disk.
-    pub fn append(&mut self, record: &JournalRecord) -> Result<(), String> {
-        self.oplog.append(&encode_record(record)).map_err(io_err)?;
-        self.oplog.sync().map_err(io_err)
+    pub fn append(&mut self, record: &JournalRecord) -> Result<(), DurableError> {
+        self.oplog.append(&encode_record(record))?;
+        self.oplog.sync()
     }
 
-    /// Rewrite the snapshot (tmp+rename) and drop journal records whose
+    /// Rewrite the snapshot (atomic replace) and drop journal records whose
     /// fold it contains — except the last one when `in_flight` (its
     /// dispatch may be incomplete; resume re-drives it).
-    pub fn write_snapshot(&mut self, snap: &CoordSnapshot, in_flight: bool) -> Result<(), String> {
+    pub fn write_snapshot(
+        &mut self,
+        snap: &CoordSnapshot,
+        in_flight: bool,
+    ) -> Result<(), DurableError> {
         write_sealed(
             &self.dir.join(COORD_SNAP),
             SNAP_MAGIC,
             &encode_snapshot(snap),
-        )
-        .map_err(io_err)?;
+        )?;
         let keep_from = if in_flight {
             self.oplog.len().saturating_sub(1)
         } else {
             self.oplog.len()
         };
-        self.oplog
-            .truncate_prefix(keep_from.min(snap.applied))
-            .map_err(io_err)?;
+        self.oplog.truncate_prefix(keep_from.min(snap.applied))?;
         Ok(())
     }
 
     /// Make seqs up to (at least) `seq` safe to use after a crash: extend
     /// the persisted ceiling by [`SEQ_RESERVE`] whenever `seq` reaches
     /// it. Returns the active ceiling.
-    pub fn reserve_seq(&mut self, seq: u64) -> Result<u64, String> {
+    pub fn reserve_seq(&mut self, seq: u64) -> Result<u64, DurableError> {
         if seq < self.reserved {
             return Ok(self.reserved);
         }
         let next = seq + SEQ_RESERVE;
-        write_sealed(&self.dir.join(COORD_SEQ), SEQ_MAGIC, &next.to_le_bytes()).map_err(io_err)?;
+        write_sealed(&self.dir.join(COORD_SEQ), SEQ_MAGIC, &next.to_le_bytes())?;
         self.reserved = next;
         Ok(next)
     }

@@ -81,6 +81,10 @@ pub type SourceFn<'a> = &'a mut dyn FnMut(SourceViewMut<'_>) -> bool;
 /// exactly like [`SourceFn`].
 pub type BatchSourceFn<'a> = &'a mut dyn FnMut(VertexId, SourceViewMut<'_>) -> bool;
 
+/// Record source for [`BdStore::add_sources`]: computes `(d, σ, δ)` for
+/// one source on demand.
+pub type RecordFn<'a> = &'a mut dyn FnMut(VertexId) -> (Vec<u32>, Vec<u64>, Vec<f64>);
+
 /// Counters describing one [`BdStore::update_batch`] invocation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
@@ -180,6 +184,19 @@ pub trait BdStore: Send {
         sigma: Vec<u64>,
         delta: Vec<f64>,
     ) -> BdResult<()>;
+
+    /// Register the brand-new `sources` in order, computing each record
+    /// with `record` just before it is stored, so the caller never holds
+    /// more than one (the bootstrap path). Backends with a crash story
+    /// may journal the whole batch as one unit; the default registers the
+    /// sources one by one.
+    fn add_sources(&mut self, sources: &[VertexId], record: RecordFn<'_>) -> BdResult<()> {
+        for &s in sources {
+            let (d, sigma, delta) = record(s);
+            self.add_source(s, d, sigma, delta)?;
+        }
+        Ok(())
+    }
 
     /// Unregister source `s` and drop its record — the store no longer
     /// answers for it. Slot compaction is backend-specific; the surviving

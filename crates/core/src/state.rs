@@ -136,10 +136,11 @@ impl<S: BdStore> BetweennessState<S> {
     ) -> Result<Self, StateError> {
         let mut scores = Scores::zeros_for(&graph);
         let mut scratch = BrandesScratch::new(graph.n());
-        for s in graph.vertices() {
+        let sources: Vec<VertexId> = graph.vertices().collect();
+        store.add_sources(&sources, &mut |s| {
             let r = single_source_update_with(&graph, s, &mut scores, &mut scratch);
-            store.add_source(s, r.d, r.sigma, r.delta)?;
-        }
+            (r.d, r.sigma, r.delta)
+        })?;
         let n = graph.n();
         Ok(BetweennessState {
             graph,

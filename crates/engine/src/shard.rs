@@ -83,10 +83,11 @@ impl<S: BdStore> ShardState<S> {
     /// accumulated into the partial scores (step 1 of the paper's
     /// Figure 4). Returns the Brandes iteration count.
     pub fn bootstrap<G: GraphView>(&mut self, g: &G, sources: &[VertexId]) -> BdResult<u64> {
-        for &s in sources {
-            let r = single_source_update_with(g, s, &mut self.partial, &mut self.scratch.brandes);
-            self.store.add_source(s, r.d, r.sigma, r.delta)?;
-        }
+        let (partial, scratch) = (&mut self.partial, &mut self.scratch.brandes);
+        self.store.add_sources(sources, &mut |s| {
+            let r = single_source_update_with(g, s, partial, scratch);
+            (r.d, r.sigma, r.delta)
+        })?;
         Ok(sources.len() as u64)
     }
 

@@ -30,18 +30,14 @@
 
 use crate::graph::{EdgeId, EdgeKey, Graph, Half};
 use std::fmt;
-use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"EBCGSNP1";
 /// Marker for a free slot in the serialized slot table.
 const FREE_SLOT: u64 = u64::MAX;
 
-/// Errors from snapshot encoding/decoding.
+/// Errors from snapshot decoding.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// The bytes are not a valid snapshot (bad magic, truncation, checksum
     /// mismatch, or internally inconsistent structure).
     Corrupt(String),
@@ -50,7 +46,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::Corrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
         }
     }
@@ -58,16 +53,10 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
 /// 64-bit FNV-1a — the checksum sealing structural snapshots. Also the
-/// canonical implementation the store layer re-exports for its journals,
-/// shard manifests, and (via the facade) session manifests, so every layer
-/// agrees on the same function.
+/// canonical implementation `ebc_store::durable` re-exports for every
+/// sealed file and record frame, so every layer agrees on the same
+/// function.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -235,33 +224,6 @@ impl Graph {
         })
     }
 
-    /// Write a snapshot to `writer`.
-    pub fn write_snapshot<W: Write>(&self, mut writer: W) -> Result<(), SnapshotError> {
-        writer.write_all(&self.snapshot_bytes())?;
-        Ok(())
-    }
-
-    /// Read a snapshot from `reader` (consumes to EOF).
-    pub fn read_snapshot<R: Read>(mut reader: R) -> Result<Self, SnapshotError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Self::from_snapshot_bytes(&bytes)
-    }
-
-    /// Save a snapshot to `path` atomically (temp file + rename).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.snapshot_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Load a snapshot from `path`.
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        Self::from_snapshot_bytes(&std::fs::read(path)?)
-    }
-
     /// True when `other` is structurally identical: same adjacency lists in
     /// the same order, same slot table, same free stack — the equality a
     /// snapshot round-trip guarantees (stronger than equal edge sets).
@@ -354,17 +316,5 @@ mod tests {
             Graph::from_snapshot_bytes(&bytes),
             Err(SnapshotError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("ebc_graph_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g_{}.snap", std::process::id()));
-        let g = scrambled();
-        g.save_snapshot(&path).unwrap();
-        let g2 = Graph::load_snapshot(&path).unwrap();
-        assert!(g.structural_eq(&g2));
-        std::fs::remove_file(path).ok();
     }
 }

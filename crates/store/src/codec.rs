@@ -65,6 +65,12 @@ impl CodecKind {
         n * (self.d_width() + self.sigma_width() + self.delta_width())
     }
 
+    /// [`CodecKind::record_size`] for an `n` read from disk: `None` when
+    /// the size overflows.
+    pub fn checked_record_size(self, n: usize) -> Option<usize> {
+        n.checked_mul(self.d_width() + self.sigma_width() + self.delta_width())
+    }
+
     /// Byte offset of the σ column inside a record.
     pub fn sigma_column_offset(self, n: usize) -> usize {
         n * self.d_width()

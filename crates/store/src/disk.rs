@@ -21,21 +21,25 @@
 //! exactly the state a fresh vertex must have. Only when `n == cap` is the
 //! file re-slabbed (one guarded rewrite at a geometrically larger capacity).
 //!
-//! The source-id table is kept in a sidecar `<path>.idx` (always replaced
-//! via temp-file + rename), and every multi-file mutation is guarded by the
-//! `<path>.wal` write-ahead intent record so [`DiskBdStore::open`] can roll
-//! a torn `add_source`/re-slab forward or back (see [`crate::recovery`]).
+//! The source-id table is kept in a sidecar `<path>.idx`, and every
+//! multi-file mutation is guarded by the `<path>.wal` write-ahead intent
+//! record so [`DiskBdStore::open`] can roll a torn `add_source`/re-slab
+//! forward or back (see [`crate::recovery`]). The sidecar, the intent, the
+//! export journals and the re-slab rewrite are all atomic replaces through
+//! [`crate::durable`].
 //!
 //! Legacy v1 files (magic `EBCBD1\n`, 24-byte header, `cap == n`) are still
 //! readable; the first write-capable operation migrates them to v2 in one
 //! guarded rewrite.
 
 use crate::codec::CodecKind;
+use crate::durable::{self, fnv1a64};
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
 use ebc_core::bd::{
-    BatchSourceFn, BatchStats, BdError, BdResult, BdStore, ExportedRecord, SourceFn, SourceViewMut,
+    BatchSourceFn, BatchStats, BdError, BdResult, BdStore, ExportedRecord, RecordFn, SourceFn,
+    SourceViewMut,
 };
-use ebc_graph::{FxHashMap, VertexId, UNREACHABLE};
+use ebc_graph::{FxHashMap, FxHashSet, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -89,7 +93,10 @@ impl Header {
         self.record_offset(self.count)
     }
 
-    /// Parse the header at the start of `file`.
+    /// Parse the header at the start of `file`. The size fields come from
+    /// disk, so the file length they imply is computed with checked
+    /// arithmetic: a geometry that overflows is `Corrupt`, and every
+    /// `record_offset(slot)` with `slot <= count` is then in range.
     pub fn read_from(file: &mut File) -> BdResult<Header> {
         file.seek(SeekFrom::Start(0))?;
         let mut fixed = [0u8; HEADER_LEN_V1 as usize];
@@ -119,13 +126,23 @@ impl Header {
                 cap
             }
         };
-        Ok(Header {
+        let header = Header {
             version,
             codec,
             n,
             count,
             cap,
-        })
+        };
+        codec
+            .checked_record_size(cap)
+            .and_then(|stride| stride.checked_mul(count))
+            .and_then(|bytes| (bytes as u64).checked_add(header.len()))
+            .ok_or_else(|| {
+                BdError::Corrupt(format!(
+                    "header geometry overflows: {count} records of {cap} slots"
+                ))
+            })?;
+        Ok(header)
     }
 
     /// Write a full v2 header at the start of `file`.
@@ -180,7 +197,7 @@ pub fn export_path(path: &Path, s: VertexId) -> PathBuf {
 /// mid-handoff, durable from before the donor removed it until the handoff
 /// committed (see DESIGN.md §8).
 ///
-/// Layout of `<path>.exp<s>`:
+/// Layout of `<path>.exp<s>` (a [`crate::durable::seal`]ed payload):
 ///
 /// ```text
 /// offset  size  field
@@ -226,27 +243,25 @@ impl ExportJournal {
 /// export never began, so callers discard it.
 pub fn read_export_journal(path: &Path) -> BdResult<Option<ExportJournal>> {
     let raw = std::fs::read(path)?;
-    if raw.len() < 28 + 8 || &raw[..7] != EXPORT_MAGIC {
+    let Ok(p) = durable::unseal(&raw, EXPORT_MAGIC) else {
         return Ok(None);
-    }
-    let ck = u64::from_le_bytes(raw[raw.len() - 8..].try_into().expect("8 bytes"));
-    if ck != recovery::fnv1a64(&raw[..raw.len() - 8]) {
-        return Ok(None);
-    }
-    let codec = match CodecKind::from_id(raw[7]) {
-        Some(c) => c,
-        None => return Ok(None),
     };
-    let source = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-    let tag = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"));
-    let n = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes")) as usize;
-    if raw.len() != 28 + codec.record_size(n) + 8 {
+    if p.len() < 21 {
+        return Ok(None);
+    }
+    let Some(codec) = CodecKind::from_id(p[0]) else {
+        return Ok(None);
+    };
+    let source = u32::from_le_bytes(p[1..5].try_into().expect("4 bytes"));
+    let tag = u64::from_le_bytes(p[5..13].try_into().expect("8 bytes"));
+    let n = u64::from_le_bytes(p[13..21].try_into().expect("8 bytes")) as usize;
+    if codec.checked_record_size(n) != Some(p.len() - 21) {
         return Ok(None);
     }
     let mut d = vec![0u32; n];
     let mut sigma = vec![0u64; n];
     let mut delta = vec![0f64; n];
-    codec.decode_record(&raw[28..raw.len() - 8], &mut d, &mut sigma, &mut delta);
+    codec.decode_record(&p[21..], &mut d, &mut sigma, &mut delta);
     Ok(Some(ExportJournal {
         source,
         tag,
@@ -291,7 +306,7 @@ pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
         return Err(BdError::Corrupt("sidecar too short".into()));
     }
     let count = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")) as usize;
-    if raw.len() < 8 + 4 * count {
+    if count.checked_mul(4).is_none_or(|ids| raw.len() - 8 < ids) {
         return Err(BdError::Corrupt("sidecar truncated".into()));
     }
     Ok((0..count)
@@ -299,24 +314,16 @@ pub(crate) fn read_sidecar_ids(path: &Path) -> BdResult<Vec<VertexId>> {
         .collect())
 }
 
-/// Replace the sidecar atomically (temp file + rename), so a crash can
+/// Replace the sidecar atomically ([`durable::replace`]), so a crash can
 /// never leave a half-written id table: readers see the old table or the
 /// new one, nothing in between.
-pub(crate) fn write_sidecar_atomic(path: &Path, order: &[VertexId]) -> BdResult<()> {
-    let sidecar = sidecar_for(path);
-    let tmp = {
-        let mut p = sidecar.as_os_str().to_owned();
-        p.push(".tmp");
-        PathBuf::from(p)
-    };
+pub(crate) fn write_sidecar(path: &Path, order: &[VertexId]) -> BdResult<()> {
     let mut buf = Vec::with_capacity(8 + 4 * order.len());
     buf.extend_from_slice(&(order.len() as u64).to_le_bytes());
     for &s in order {
         buf.extend_from_slice(&s.to_le_bytes());
     }
-    std::fs::write(&tmp, buf)?;
-    std::fs::rename(&tmp, &sidecar)?;
-    Ok(())
+    Ok(durable::replace(&sidecar_for(path), &buf)?)
 }
 
 /// Slab sizing rule: headroom of `max(8, n/8)` vertex slots beyond `n`.
@@ -445,7 +452,7 @@ impl DiskBdStore {
             cap,
         };
         header.write_to(&mut file)?;
-        write_sidecar_atomic(&path, &[])?;
+        write_sidecar(&path, &[])?;
         recovery::clear_intent(&path)?;
         Ok(DiskBdStore {
             file,
@@ -592,6 +599,18 @@ impl DiskBdStore {
         }
     }
 
+    /// Encode a new source's slab record into `raw` (live prefix = the
+    /// given arrays, tail empty).
+    fn stage_record(&mut self, d: Vec<u32>, sigma: Vec<u64>, delta: Vec<f64>) {
+        self.d = d;
+        self.sigma = sigma;
+        self.delta = delta;
+        self.reset_scratch_tail();
+        self.raw.resize(self.stride(), 0);
+        self.codec
+            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
+    }
+
     fn read_record(&mut self, slot: usize) -> BdResult<()> {
         let size = self.stride();
         let off = self.record_offset(slot);
@@ -634,9 +653,9 @@ impl DiskBdStore {
 
     /// Guarded whole-file rewrite (re-slab or v1→v2 migration): write the
     /// intent, stream every record into `<path>.tmp` at the new geometry,
-    /// sync, rename over the data file, commit. Record contents are
-    /// preserved bit-identically in the live `..n` prefix; the new tail is
-    /// the canonical empty value.
+    /// sync, commit the atomic replace ([`durable::commit`]), clear the
+    /// intent. Record contents are preserved bit-identically in the live
+    /// `..n` prefix; the new tail is the canonical empty value.
     fn rewrite_file(&mut self, new_n: usize, new_cap: usize, op: IntentOp) -> BdResult<()> {
         self.rewrite_file_inner(new_n, new_cap, op, None)
     }
@@ -670,13 +689,7 @@ impl DiskBdStore {
         if crash == Some(RewriteCrash::AfterIntent) {
             return Ok(());
         }
-        let tmp_path = self.path.with_extension("tmp");
-        let mut tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
+        let mut tmp = durable::create_tmp(&self.path)?;
         new_header.write_to(&mut tmp)?;
         let new_stride = new_header.stride();
         let mut out = vec![0u8; new_stride];
@@ -694,7 +707,7 @@ impl DiskBdStore {
         if crash == Some(RewriteCrash::AfterTmp) {
             return Ok(());
         }
-        std::fs::rename(&tmp_path, &self.path)?;
+        durable::commit(&self.path)?;
         self.file = tmp;
         self.version = FormatVersion::V2;
         self.n = new_n;
@@ -894,6 +907,71 @@ impl BdStore for DiskBdStore {
         self.add_source_inner(s, d, sigma, delta, None)
     }
 
+    /// One journal round for the whole batch: a single `AddSource` intent
+    /// whose count grows by `sources.len()` (checksum 0), the records
+    /// streamed to the end of the file, then the header count and the
+    /// sidecar once. Recovery rolls a torn batch forward only when the
+    /// sidecar already lists every new source, else back (see
+    /// [`crate::recovery`]).
+    fn add_sources(&mut self, sources: &[VertexId], record: RecordFn<'_>) -> BdResult<()> {
+        match sources {
+            [] => return Ok(()),
+            &[s] => {
+                let (d, sigma, delta) = record(s);
+                return self.add_source(s, d, sigma, delta);
+            }
+            _ => {}
+        }
+        let mut fresh = FxHashSet::default();
+        if let Some(&s) = sources
+            .iter()
+            .find(|&&s| self.index.contains_key(&s) || !fresh.insert(s))
+        {
+            return Err(BdError::DuplicateSource(s));
+        }
+        self.ensure_writable()?;
+        let old = Geometry::of(&self.header());
+        recovery::write_intent(
+            &self.path,
+            &Intent {
+                op: IntentOp::AddSource,
+                source: sources[0],
+                payload_checksum: 0,
+                old,
+                new: Geometry {
+                    count: old.count + sources.len() as u64,
+                    ..old
+                },
+            },
+        )?;
+        let stride = self.stride();
+        let end = self.record_offset(self.order.len());
+        self.file.seek(SeekFrom::Start(end))?;
+        for &s in sources {
+            let (d, sigma, delta) = record(s);
+            if d.len() != self.n || sigma.len() != self.n || delta.len() != self.n {
+                // undo the partial append now rather than at the next open
+                self.file.set_len(end)?;
+                recovery::clear_intent(&self.path)?;
+                return Err(BdError::ShapeMismatch {
+                    expected: self.n,
+                    got: d.len(),
+                });
+            }
+            self.stage_record(d, sigma, delta);
+            self.file.write_all(&self.raw)?;
+            self.bytes_written += stride as u64;
+        }
+        for &s in sources {
+            self.index.insert(s, self.order.len());
+            self.order.push(s);
+        }
+        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_sidecar(&self.path, &self.order)?;
+        recovery::clear_intent(&self.path)?;
+        Ok(())
+    }
+
     /// Journaled swap-remove: the final record is copied into the vacated
     /// slot, the header count drops by one, the sidecar is rewritten, and
     /// the file is truncated — all guarded by a `RemoveSource` intent that
@@ -1073,7 +1151,7 @@ impl DiskBdStore {
         if crash == Some(RemoveCrash::AfterHeader) {
             return Ok(());
         }
-        write_sidecar_atomic(&self.path, &self.order)?;
+        write_sidecar(&self.path, &self.order)?;
         if crash == Some(RemoveCrash::AfterSidecar) {
             return Ok(());
         }
@@ -1095,20 +1173,17 @@ impl DiskBdStore {
         let d = self.d[..n].to_vec();
         let sigma = self.sigma[..n].to_vec();
         let delta = self.delta[..n].to_vec();
-        let psize = self.codec.record_size(n);
-        let mut buf = Vec::with_capacity(28 + psize + 8);
-        buf.extend_from_slice(EXPORT_MAGIC);
-        buf.push(self.codec.id());
-        buf.extend_from_slice(&s.to_le_bytes());
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        let payload_off = buf.len();
-        buf.resize(payload_off + psize, 0);
+        let len = 21 + self.codec.record_size(n);
+        let mut payload = Vec::with_capacity(len);
+        payload.push(self.codec.id());
+        payload.extend_from_slice(&s.to_le_bytes());
+        payload.extend_from_slice(&tag.to_le_bytes());
+        payload.extend_from_slice(&(n as u64).to_le_bytes());
+        payload.resize(len, 0);
         self.codec
-            .encode_record(&d, &sigma, &delta, &mut buf[payload_off..]);
-        let ck = recovery::fnv1a64(&buf);
-        buf.extend_from_slice(&ck.to_le_bytes());
-        std::fs::write(export_path(&self.path, s), &buf)?;
+            .encode_record(&d, &sigma, &delta, &mut payload[21..]);
+        let buf = durable::seal(EXPORT_MAGIC, &payload);
+        durable::replace(&export_path(&self.path, s), &buf)?;
         // the journal is record payload leaving through this store: charge
         // it to the write counter so byte accounting stays exact
         self.bytes_written += buf.len() as u64;
@@ -1143,15 +1218,8 @@ impl DiskBdStore {
             });
         }
         self.ensure_writable()?;
-        // stage the slab record (live prefix = the new arrays, tail empty)
-        self.d = d;
-        self.sigma = sigma;
-        self.delta = delta;
-        self.reset_scratch_tail();
         let stride = self.stride();
-        self.raw.resize(stride, 0);
-        self.codec
-            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
+        self.stage_record(d, sigma, delta);
         let slot = self.order.len();
         let old = Geometry::of(&self.header());
         recovery::write_intent(
@@ -1159,7 +1227,7 @@ impl DiskBdStore {
             &Intent {
                 op: IntentOp::AddSource,
                 source: s,
-                payload_checksum: recovery::fnv1a64(&self.raw),
+                payload_checksum: fnv1a64(&self.raw),
                 old,
                 new: Geometry {
                     count: old.count + 1,
@@ -1189,7 +1257,7 @@ impl DiskBdStore {
         if crash == Some(AddCrash::AfterHeader) {
             return Ok(());
         }
-        write_sidecar_atomic(&self.path, &self.order)?;
+        write_sidecar(&self.path, &self.order)?;
         if crash == Some(AddCrash::AfterSidecar) {
             return Ok(());
         }
@@ -1497,6 +1565,161 @@ mod tests {
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(_) => panic!("trailing garbage must be rejected"),
         }
+    }
+
+    #[test]
+    fn add_sources_writes_what_one_by_one_adds_write() {
+        let one = tmpdir("batch_one").join("bd.dat");
+        let many = tmpdir("batch_many").join("bd.dat");
+        let mut a = DiskBdStore::create(&one, 6, CodecKind::Wide).unwrap();
+        let mut b = DiskBdStore::create(&many, 6, CodecKind::Wide).unwrap();
+        for st in [&mut a, &mut b] {
+            let (d, s, del) = sample_record(6, 9);
+            st.add_source(5, d, s, del).unwrap();
+        }
+        for src in [0u32, 3, 1] {
+            let (d, s, del) = sample_record(6, src as u64);
+            a.add_source(src, d, s, del).unwrap();
+        }
+        b.add_sources(&[0, 3, 1], &mut |src| sample_record(6, src as u64))
+            .unwrap();
+        assert!(matches!(
+            b.add_sources(&[2, 2], &mut |src| sample_record(6, src as u64)),
+            Err(BdError::DuplicateSource(2))
+        ));
+        assert!(matches!(
+            b.add_sources(&[2, 5], &mut |src| sample_record(6, src as u64)),
+            Err(BdError::DuplicateSource(5))
+        ));
+        drop((a, b));
+        assert_eq!(std::fs::read(&one).unwrap(), std::fs::read(&many).unwrap());
+        let b = DiskBdStore::open(&many).unwrap();
+        assert_eq!(b.sources(), [5, 0, 3, 1]);
+        assert_eq!(b.last_recovery(), None);
+    }
+
+    #[test]
+    fn torn_add_sources_batch_rolls_forward_only_once_its_sidecar_landed() {
+        for landed in [false, true] {
+            let path = tmpdir(&format!("batch_torn_{landed}")).join("bd.dat");
+            let mut st = DiskBdStore::create(&path, 4, CodecKind::Wide).unwrap();
+            let (d, s, del) = sample_record(4, 1);
+            st.add_source(7, d, s, del).unwrap();
+            let old = Geometry::of(&st.header());
+            st.add_sources(&[0, 1, 2], &mut |src| sample_record(4, src as u64))
+                .unwrap();
+            // forge the kill: the batch's intent is pending again; before
+            // the sidecar step, the header count was still the old one
+            let new = Geometry { count: 4, ..old };
+            recovery::write_intent(
+                &path,
+                &Intent {
+                    op: IntentOp::AddSource,
+                    source: 0,
+                    payload_checksum: 0,
+                    old,
+                    new,
+                },
+            )
+            .unwrap();
+            if !landed {
+                write_header_count(&mut st.file, 1).unwrap();
+                write_sidecar(&path, &[7]).unwrap();
+            }
+            drop(st);
+            let st = DiskBdStore::open(&path).unwrap();
+            if landed {
+                assert_eq!(
+                    st.last_recovery(),
+                    Some(RecoveryAction::RolledForward(IntentOp::AddSource))
+                );
+                assert_eq!(st.sources(), [7, 0, 1, 2]);
+            } else {
+                assert_eq!(
+                    st.last_recovery(),
+                    Some(RecoveryAction::RolledBack(IntentOp::AddSource))
+                );
+                assert_eq!(st.sources(), [7]);
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_header_cap_is_corrupt_not_a_panic() {
+        let path = tmpdir("huge_cap").join("bd.dat");
+        {
+            DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
+        }
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[24..32].copy_from_slice(&(u64::MAX / 4).to_le_bytes()); // cap
+        std::fs::write(&path, raw).unwrap();
+        match DiskBdStore::open(&path) {
+            Err(BdError::Corrupt(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("an overflowing geometry must be rejected"),
+        }
+    }
+
+    #[test]
+    fn overflowing_sidecar_count_is_corrupt_not_a_panic() {
+        let path = tmpdir("huge_idx").join("bd.dat");
+        {
+            DiskBdStore::create(&path, 2, CodecKind::Wide).unwrap();
+        }
+        let mut raw = std::fs::read(sidecar_for(&path)).unwrap();
+        raw[..8].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // count
+        std::fs::write(sidecar_for(&path), raw).unwrap();
+        assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+    }
+
+    /// The export journal layout written before journals moved onto the
+    /// shared sealed codec, built by hand with an arbitrary `n`.
+    fn hand_export_journal(codec: CodecKind, s: u32, tag: u64, n: u64, record: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"EBCEXP\n");
+        buf.push(codec.id());
+        buf.extend_from_slice(&s.to_le_bytes());
+        buf.extend_from_slice(&tag.to_le_bytes());
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(record);
+        let ck = fnv1a64(&buf);
+        buf.extend_from_slice(&ck.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn overflowing_export_journal_n_is_discarded_not_a_panic() {
+        let path = tmpdir("huge_exp").join("bd.dat.exp3");
+        let raw = hand_export_journal(CodecKind::Wide, 3, 1, u64::MAX / 2, &[0; 20]);
+        std::fs::write(&path, raw).unwrap();
+        assert_eq!(read_export_journal(&path).unwrap(), None);
+    }
+
+    /// Byte-compatibility pin for the export journal: the writer emits the
+    /// hand-built layout and the reader accepts it.
+    #[test]
+    fn export_journal_bytes_match_the_hand_built_layout() {
+        let path = tmpdir("exp_pin").join("bd.dat");
+        let mut st = DiskBdStore::create(&path, 5, CodecKind::Paper).unwrap();
+        let (d, sigma, delta) = sample_record(5, 4);
+        st.add_source(2, d.clone(), sigma.clone(), delta.clone())
+            .unwrap();
+        st.export_source(2, 0xAB).unwrap();
+        let mut record = vec![0u8; CodecKind::Paper.record_size(5)];
+        CodecKind::Paper.encode_record(&d, &sigma, &delta, &mut record);
+        let want = hand_export_journal(CodecKind::Paper, 2, 0xAB, 5, &record);
+        let journal = export_path(&path, 2);
+        assert_eq!(
+            std::fs::read(&journal).unwrap(),
+            want,
+            "writer bytes changed"
+        );
+        std::fs::write(&journal, &want).unwrap();
+        let read = read_export_journal(&journal)
+            .unwrap()
+            .expect("reader refused");
+        assert_eq!((read.source, read.tag), (2, 0xAB));
+        assert_eq!((read.d, read.sigma, read.delta), (d, sigma, delta));
     }
 
     #[test]

@@ -1,29 +1,32 @@
 //! Sealed, checksummed update history: the checkpoint-and-truncate
 //! compactor plus the segment store the replay engine reads.
 //!
-//! A [`HistoryLog`] owns two kinds of files inside a session directory:
+//! A [`HistoryLog`] owns two kinds of files inside a session directory,
+//! both written through [`crate::durable`]:
 //!
-//! * **live WAL** (`history.wal`) — one frame per applied update,
-//!   `[len: u32][fnv1a64: u64][seq: u64][map_version: u64][payload]`
-//!   (little-endian, checksum over everything after it). Appends are
-//!   write-through like [`crate::OpLog`]; a torn tail truncates on reopen,
-//!   a mid-file checksum failure is corruption.
-//! * **sealed segments** (`history-<first>-<last>.seg`) — immutable,
-//!   checksummed rolls of a WAL prefix, produced by
-//!   [`HistoryLog::seal_upto`] at checkpoint time. A segment is written
-//!   tmp+rename, so it either exists completely or not at all.
+//! * **live WAL** (`history.wal`) — an [`OpLog`] with one entry per
+//!   applied update, `[seq: u64][map_version: u64][payload]`
+//!   (little-endian). Appends are write-through; a torn tail truncates on
+//!   reopen, a mid-file checksum failure is corruption. Compaction is
+//!   [`OpLog::truncate_prefix`], which leaves a compacted file with the
+//!   op log's base-index header; headerless files from before that change
+//!   open as base 0, and may start past seq 1.
+//! * **sealed segments** (`history-<first>-<last>.seg`) — immutable
+//!   [`durable::seal`]ed rolls of a WAL prefix, produced by
+//!   [`HistoryLog::seal_upto`] at checkpoint time. A segment is an atomic
+//!   replace, so it either exists completely or not at all.
 //!
-//! A small meta file (`history.meta`, also tmp+rename) records the
-//! retention mode and the highest sealed-or-discarded seq, which is what
-//! lets `open()` distinguish "prefix legitimately discarded
+//! A small sealed meta file (`history.meta`, also an atomic replace)
+//! records the retention mode and the highest sealed-or-discarded seq,
+//! which is what lets `open()` distinguish "prefix legitimately discarded
 //! (`keep_history = false`)" from "segment file missing" — the latter is
 //! the typed [`HistoryError::Gap`].
 //!
 //! ## Crash matrix (DESIGN.md §14)
 //!
-//! `seal_upto` orders its writes *segment → meta → WAL rewrite*, each
-//! atomic via tmp+rename, and every WAL record carries its seq, so
-//! `open()` resolves every kill window to exactly-once history:
+//! `seal_upto` orders its writes *segment → meta → WAL rewrite*, each an
+//! atomic replace, and every WAL record carries its seq, so `open()`
+//! resolves every kill window to exactly-once history:
 //!
 //! | killed…                         | open() sees                    | resolution            |
 //! |---------------------------------|--------------------------------|-----------------------|
@@ -36,10 +39,11 @@
 //! (rewrites the WAL without the sealed prefix and refreshes the meta),
 //! so a second crash replays the same convergent path.
 
-use crate::recovery::fnv1a64;
+use crate::durable::{self, read_sealed, write_sealed, DurableError};
+use crate::OpLog;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Live WAL file name inside a history directory.
@@ -93,10 +97,19 @@ impl From<std::io::Error> for HistoryError {
     }
 }
 
+impl From<DurableError> for HistoryError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Io(e) => HistoryError::Io(e),
+            DurableError::Corrupt(msg) => HistoryError::Corrupt(msg),
+        }
+    }
+}
+
 /// One applied update as recorded in the history: its global sequence
 /// number, the shard-map version it was applied under, and the opaque
 /// payload the owning layer serialized (the root session stores an
-/// encoded edge update; the coordinator journal reuses the same frames).
+/// encoded edge update).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryRecord {
     /// 1-based global sequence number; contiguous within a history.
@@ -105,6 +118,23 @@ pub struct HistoryRecord {
     pub map_version: u64,
     /// Opaque serialized update.
     pub payload: Vec<u8>,
+}
+
+impl HistoryRecord {
+    /// Decode one live-WAL entry (`seq ‖ map_version ‖ payload`).
+    fn from_entry(entry: &[u8]) -> Result<Self, HistoryError> {
+        if entry.len() < 16 {
+            return Err(HistoryError::Corrupt(format!(
+                "{HISTORY_WAL} entry of {} bytes is shorter than its seq header",
+                entry.len()
+            )));
+        }
+        Ok(HistoryRecord {
+            seq: u64::from_le_bytes(entry[0..8].try_into().expect("8")),
+            map_version: u64::from_le_bytes(entry[8..16].try_into().expect("8")),
+            payload: entry[16..].to_vec(),
+        })
+    }
 }
 
 /// Byte accounting for `stats` surfaces.
@@ -148,14 +178,15 @@ struct SegmentMeta {
 }
 
 /// Append + seal + replay over a session's update history.
+///
+/// Invariant: the live WAL holds exactly the records
+/// `compacted_to + 1 ..= last_seq`, in order.
 #[derive(Debug)]
 pub struct HistoryLog {
     dir: PathBuf,
     keep: bool,
-    /// Records not yet sealed into a segment, ascending contiguous seqs.
-    live: Vec<HistoryRecord>,
-    live_bytes: u64,
-    file: File,
+    wal: OpLog,
+    last_seq: u64,
     segments: Vec<SegmentMeta>,
     sealed_bytes: u64,
     /// Highest sealed-or-discarded seq.
@@ -180,18 +211,11 @@ impl HistoryLog {
             }
         }
         write_meta(dir, keep_history, 0)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join(HISTORY_WAL))?;
         Ok(HistoryLog {
             dir: dir.to_path_buf(),
             keep: keep_history,
-            live: Vec::new(),
-            live_bytes: 0,
-            file,
+            wal: OpLog::open(dir.join(HISTORY_WAL))?,
+            last_seq: 0,
             segments: Vec::new(),
             sealed_bytes: 0,
             compacted_to: 0,
@@ -256,61 +280,46 @@ impl HistoryLog {
         let compacted_to = meta_compacted.max(sealed_to);
         let sealed_bytes = segments.iter().map(|s| s.bytes).sum();
 
-        // Recover the live WAL, dropping any prefix the seal already
-        // covered (kill windows 2–4) and truncating a torn tail.
-        let (records, durable) = read_wal(&dir.join(HISTORY_WAL))?;
-        let mut live = Vec::new();
-        let mut dropped = false;
+        // Recover the live WAL (the op log truncates a torn tail), then
+        // find the prefix a seal already covered (kill windows 2–4).
+        let mut wal = OpLog::open(dir.join(HISTORY_WAL))?;
+        let mut stale = 0u64;
         let mut next = compacted_to + 1;
-        for rec in records {
-            if rec.seq <= compacted_to {
-                dropped = true;
+        for (i, entry) in wal.entries().enumerate() {
+            let seq = HistoryRecord::from_entry(entry)?.seq;
+            if seq <= compacted_to && i as u64 == stale {
+                stale += 1;
                 continue;
             }
-            if rec.seq > next {
+            if seq > next {
                 return Err(HistoryError::Gap {
                     missing_first: next,
-                    missing_last: rec.seq - 1,
+                    missing_last: seq - 1,
                 });
             }
-            if rec.seq < next {
+            if seq < next {
                 return Err(HistoryError::Corrupt(format!(
-                    "live wal repeats seq {} (expected {next})",
-                    rec.seq
+                    "live wal repeats seq {seq} (expected {next})"
                 )));
             }
             next += 1;
-            live.push(rec);
         }
-        let mut log = HistoryLog {
+        if stale > 0 {
+            // Finish the interrupted truncation so the next open is clean.
+            wal.truncate_prefix(wal.base() + stale)?;
+            write_meta(dir, keep, compacted_to)?;
+        } else if meta_compacted < compacted_to {
+            write_meta(dir, keep, compacted_to)?; // stale meta (window 2)
+        }
+        Ok(HistoryLog {
             dir: dir.to_path_buf(),
             keep,
-            live_bytes: live.iter().map(frame_len).sum(),
-            live,
-            file: OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(dir.join(HISTORY_WAL))?,
+            wal,
+            last_seq: next - 1,
             segments,
             sealed_bytes,
             compacted_to,
-        };
-        if dropped {
-            // Finish the interrupted truncation so the next open is clean.
-            log.rewrite_wal(None)?;
-            write_meta(dir, keep, compacted_to)?;
-        } else {
-            if durable < file_len(&log.file)? {
-                log.file.set_len(durable)?; // torn tail
-            }
-            log.file.seek(SeekFrom::Start(durable))?;
-            if meta_compacted < compacted_to {
-                write_meta(dir, keep, compacted_to)?; // stale meta (window 2)
-            }
-        }
-        Ok(log)
+        })
     }
 
     /// Whether sealed segments are retained (`true`) or discarded at
@@ -321,7 +330,7 @@ impl HistoryLog {
 
     /// Highest seq in the history (sealed or live); 0 when empty.
     pub fn last_seq(&self) -> u64 {
-        self.live.last().map_or(self.compacted_to, |r| r.seq)
+        self.last_seq
     }
 
     /// Highest sealed-or-discarded seq; 0 before the first compaction.
@@ -331,51 +340,47 @@ impl HistoryLog {
 
     /// Bytes of live WAL frames not yet sealed.
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
+        self.wal.byte_len()
     }
 
     /// Byte accounting for `stats`.
     pub fn stats(&self) -> HistoryStats {
         HistoryStats {
-            live_wal_bytes: self.live_bytes,
+            live_wal_bytes: self.live_bytes(),
             sealed_bytes: self.sealed_bytes,
             segments: self.segments.len() as u64,
             last_compaction_seq: self.compacted_to,
-            last_seq: self.last_seq(),
+            last_seq: self.last_seq,
         }
     }
 
     /// Append one applied update. `seq` must continue the history
-    /// (`last_seq() + 1`); the write is framed and checksummed like an
-    /// op-log entry, so a crash mid-append is a torn tail, never a
-    /// corrupt history.
+    /// (`last_seq() + 1`); the write is one op-log entry, so a crash
+    /// mid-append is a torn tail, never a corrupt history.
     pub fn append(
         &mut self,
         seq: u64,
         map_version: u64,
         payload: &[u8],
     ) -> Result<(), HistoryError> {
-        if seq != self.last_seq() + 1 {
+        if seq != self.last_seq + 1 {
             return Err(HistoryError::Corrupt(format!(
                 "append seq {seq} does not continue history at {}",
-                self.last_seq()
+                self.last_seq
             )));
         }
-        let rec = HistoryRecord {
-            seq,
-            map_version,
-            payload: payload.to_vec(),
-        };
-        let frame = frame(&rec);
-        self.file.write_all(&frame)?;
-        self.live_bytes += frame.len() as u64;
-        self.live.push(rec);
+        let mut entry = Vec::with_capacity(16 + payload.len());
+        entry.extend_from_slice(&seq.to_le_bytes());
+        entry.extend_from_slice(&map_version.to_le_bytes());
+        entry.extend_from_slice(payload);
+        self.wal.append(&entry)?;
+        self.last_seq = seq;
         Ok(())
     }
 
     /// Sync the live WAL to disk.
     pub fn sync(&mut self) -> Result<(), HistoryError> {
-        self.file.sync_data().map_err(HistoryError::Io)
+        Ok(self.wal.sync()?)
     }
 
     /// Seal every live record with seq ≤ `seq` into one segment (or
@@ -393,38 +398,36 @@ impl HistoryLog {
         seq: u64,
         kill: Option<SealKill>,
     ) -> Result<bool, HistoryError> {
-        let count = self.live.iter().take_while(|r| r.seq <= seq).count();
-        if count == 0 {
+        let first = self.compacted_to + 1;
+        let last = seq.min(self.last_seq);
+        if last < first {
             return Ok(false);
         }
+        let count = last - first + 1;
         self.sync()?;
-        let first = self.live[0].seq;
-        let last = self.live[count - 1].seq;
         if self.keep {
-            let name = segment_name(first, last);
             let mut payload = Vec::new();
             payload.extend_from_slice(&first.to_le_bytes());
             payload.extend_from_slice(&last.to_le_bytes());
-            payload.extend_from_slice(&(count as u64).to_le_bytes());
-            for rec in &self.live[..count] {
-                payload.extend_from_slice(&rec.seq.to_le_bytes());
-                payload.extend_from_slice(&rec.map_version.to_le_bytes());
-                payload.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-                payload.extend_from_slice(&rec.payload);
+            payload.extend_from_slice(&count.to_le_bytes());
+            for entry in self.wal.entries().take(count as usize) {
+                payload.extend_from_slice(&entry[..16]);
+                payload.extend_from_slice(&(entry.len() as u32 - 16).to_le_bytes());
+                payload.extend_from_slice(&entry[16..]);
             }
-            let path = self.dir.join(&name);
+            let path = self.dir.join(segment_name(first, last));
+            let sealed = durable::seal(SEGMENT_MAGIC, &payload);
+            durable::write_tmp(&path, &sealed)?;
             if kill == Some(SealKill::BeforeSeal) {
-                // Leave only the tmp behind, as if we died pre-rename.
-                write_sealed_tmp_only(&path, SEGMENT_MAGIC, &payload)?;
-                return Ok(false);
+                return Ok(false); // only the tmp exists, as if we died pre-rename
             }
-            write_sealed(&path, SEGMENT_MAGIC, &payload)?;
+            durable::commit(&path)?;
             self.segments.push(SegmentMeta {
                 first,
                 last,
-                bytes: file_len(&File::open(&path)?)?,
+                bytes: sealed.len() as u64,
             });
-            self.sealed_bytes += self.segments.last().expect("just pushed").bytes;
+            self.sealed_bytes += sealed.len() as u64;
         } else if kill == Some(SealKill::BeforeSeal) {
             return Ok(false); // nothing durable happened yet
         }
@@ -436,8 +439,14 @@ impl HistoryLog {
         if kill == Some(SealKill::AfterMeta) {
             return Ok(false);
         }
-        self.live.drain(..count);
-        self.rewrite_wal(kill)?;
+        // The truncation index comes from the op log's own numbering, not
+        // from seq: a headerless WAL may start past seq 1.
+        let upto = self.wal.base() + count;
+        if kill == Some(SealKill::MidTruncate) {
+            self.wal.stage_truncate(upto)?;
+            return Ok(false);
+        }
+        self.wal.truncate_prefix(upto)?;
         Ok(true)
     }
 
@@ -446,10 +455,10 @@ impl HistoryLog {
     /// [`HistoryError::Gap`] when retention was off for any part of that
     /// range, and with `Corrupt` when `seq` is beyond the history.
     pub fn records_upto(&self, seq: u64) -> Result<Vec<HistoryRecord>, HistoryError> {
-        if seq > self.last_seq() {
+        if seq > self.last_seq {
             return Err(HistoryError::Corrupt(format!(
                 "history ends at seq {}, cannot replay to {seq}",
-                self.last_seq()
+                self.last_seq
             )));
         }
         if !self.keep && self.compacted_to > 0 {
@@ -464,18 +473,14 @@ impl HistoryLog {
                 break;
             }
             let recs = read_segment(&self.dir.join(segment_name(seg.first, seg.last)))?;
-            for rec in recs {
-                if rec.seq > seq {
-                    break;
-                }
-                out.push(rec);
-            }
+            out.extend(recs.into_iter().take_while(|r| r.seq <= seq));
         }
-        for rec in &self.live {
+        for entry in self.wal.entries() {
+            let rec = HistoryRecord::from_entry(entry)?;
             if rec.seq > seq {
                 break;
             }
-            out.push(rec.clone());
+            out.push(rec);
         }
         // Belt and braces: the assembled range must be exactly 1..=seq.
         for (i, rec) in out.iter().enumerate() {
@@ -494,112 +499,18 @@ impl HistoryLog {
         }
         Ok(out)
     }
-
-    /// Rewrite the live WAL to hold exactly `self.live` (tmp+rename).
-    /// `kill == MidTruncate` leaves only the tmp behind.
-    fn rewrite_wal(&mut self, kill: Option<SealKill>) -> Result<(), HistoryError> {
-        let path = self.dir.join(HISTORY_WAL);
-        let tmp = self.dir.join(format!("{HISTORY_WAL}.tmp"));
-        let mut bytes = Vec::new();
-        for rec in &self.live {
-            bytes.extend_from_slice(&frame(rec));
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-        }
-        if kill == Some(SealKill::MidTruncate) {
-            return Ok(());
-        }
-        fs::rename(&tmp, &path)?;
-        self.file = OpenOptions::new().read(true).write(true).open(&path)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.live_bytes = bytes.len() as u64;
-        Ok(())
-    }
-}
-
-/// Write `magic + payload + fnv1a64(magic + payload)` to `path` via
-/// tmp+rename — the shared sealed-file idiom (history segments, the
-/// session's genesis snapshot, the coordinator journal snapshot).
-pub fn write_sealed(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<(), HistoryError> {
-    write_sealed_tmp_only(path, magic, payload)?;
-    let tmp = tmp_path(path);
-    fs::rename(tmp, path)?;
-    Ok(())
-}
-
-/// Read and validate a file written by [`write_sealed`], returning the
-/// payload.
-pub fn read_sealed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, HistoryError> {
-    let bytes = fs::read(path)?;
-    let name = path.display();
-    if bytes.len() < magic.len() + 8 || &bytes[..magic.len()] != magic {
-        return Err(HistoryError::Corrupt(format!(
-            "{name}: bad magic or truncated"
-        )));
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let ck = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
-    if fnv1a64(body) != ck {
-        return Err(HistoryError::Corrupt(format!("{name}: checksum mismatch")));
-    }
-    Ok(body[magic.len()..].to_vec())
-}
-
-fn write_sealed_tmp_only(path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<(), HistoryError> {
-    let tmp = tmp_path(path);
-    let mut bytes = Vec::with_capacity(magic.len() + payload.len() + 8);
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(payload);
-    let ck = fnv1a64(&bytes);
-    bytes.extend_from_slice(&ck.to_le_bytes());
-    let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_data()?;
-    Ok(())
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".tmp");
-    path.with_file_name(name)
 }
 
 fn segment_name(first: u64, last: u64) -> String {
     format!("history-{first:020}-{last:020}.seg")
 }
 
-fn frame(rec: &HistoryRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + rec.payload.len());
-    body.extend_from_slice(&rec.seq.to_le_bytes());
-    body.extend_from_slice(&rec.map_version.to_le_bytes());
-    body.extend_from_slice(&rec.payload);
-    let mut f = Vec::with_capacity(12 + body.len());
-    f.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    f.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    f.extend_from_slice(&body);
-    f
-}
-
-fn frame_len(rec: &HistoryRecord) -> u64 {
-    12 + 16 + rec.payload.len() as u64
-}
-
-fn file_len(file: &File) -> Result<u64, HistoryError> {
-    Ok(file.metadata()?.len())
-}
-
 fn write_meta(dir: &Path, keep: bool, compacted_to: u64) -> Result<(), HistoryError> {
-    let mut payload = Vec::with_capacity(9);
+    let mut payload = Vec::with_capacity(10);
     payload.push(1u8); // format
     payload.push(keep as u8);
     payload.extend_from_slice(&compacted_to.to_le_bytes());
-    write_sealed(&dir.join(HISTORY_META), META_MAGIC, &payload)
+    Ok(write_sealed(&dir.join(HISTORY_META), META_MAGIC, &payload)?)
 }
 
 fn read_meta(dir: &Path) -> Result<(bool, u64), HistoryError> {
@@ -695,44 +606,6 @@ fn read_segment(path: &Path) -> Result<Vec<HistoryRecord>, HistoryError> {
         return Err(HistoryError::Corrupt(format!("{name}: trailing bytes")));
     }
     Ok(out)
-}
-
-/// Parse the live WAL: complete frames + the durable byte offset (frames
-/// past it are a torn tail the caller truncates).
-fn read_wal(path: &Path) -> Result<(Vec<HistoryRecord>, u64), HistoryError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(HistoryError::Io(e)),
-    };
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let mut durable = 0usize;
-    while bytes.len() - pos >= 12 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-        let ck = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
-        let Some(end) = pos.checked_add(12 + len).filter(|&e| e <= bytes.len()) else {
-            break; // torn tail
-        };
-        let body = &bytes[pos + 12..end];
-        if len < 16 || fnv1a64(body) != ck {
-            if end == bytes.len() {
-                break; // torn tail: final frame half-written
-            }
-            return Err(HistoryError::Corrupt(format!(
-                "history.wal frame {} fails its checksum mid-file",
-                out.len()
-            )));
-        }
-        out.push(HistoryRecord {
-            seq: u64::from_le_bytes(body[0..8].try_into().expect("8")),
-            map_version: u64::from_le_bytes(body[8..16].try_into().expect("8")),
-            payload: body[16..].to_vec(),
-        });
-        pos = end;
-        durable = end;
-    }
-    Ok((out, durable as u64))
 }
 
 #[cfg(test)]
@@ -927,7 +800,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             read_sealed(&path, b"EBCTEST\n"),
-            Err(HistoryError::Corrupt(_))
+            Err(DurableError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&d).ok();
     }

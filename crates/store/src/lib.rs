@@ -28,6 +28,9 @@
 //! * **crash recovery**: multi-file mutations are guarded by a write-ahead
 //!   intent record, and [`DiskBdStore::open`] rolls a torn
 //!   `add_source`/re-slab/`remove_source` forward or back (see [`recovery`]);
+//! * **one durability layer**: every atomic replace (fsync of the temp
+//!   file and the directory), sealed file and record log goes through
+//!   [`durable`] and [`OpLog`];
 //! * legacy v1 files stay readable and migrate to v2 on first write;
 //! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
@@ -77,6 +80,7 @@
 
 pub mod codec;
 pub mod disk;
+pub mod durable;
 pub mod history;
 pub mod oplog;
 pub mod recovery;
@@ -84,11 +88,10 @@ pub mod shard;
 
 pub use codec::CodecKind;
 pub use disk::{BatchPlan, DiskBdStore, ExportJournal, FormatVersion, SlotRun};
-pub use history::{
-    read_sealed, write_sealed, HistoryError, HistoryLog, HistoryRecord, HistoryStats,
-};
+pub use durable::{fnv1a64, read_sealed, write_sealed, DurableError};
+pub use history::{HistoryError, HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
-pub use recovery::{fnv1a64, IntentOp, RecoveryAction};
+pub use recovery::{IntentOp, RecoveryAction};
 pub use shard::{HandoffRecovery, ShardSet};
 
 // re-export the trait so downstream users need only this crate

@@ -1,28 +1,32 @@
-//! Append-only, checksummed operation log — the per-shard replication WAL.
+//! Append-only, checksummed operation log — the one record log of the
+//! tree (see [`crate::durable`]).
 //!
-//! A cluster shard leader appends every state-changing operation (bootstrap,
-//! apply, import, export) to its op log *as the serialized wire frame it
-//! ships to its follower*, so the log **is** the replication stream: entry
-//! `i` on the leader and entry `i` on the follower are byte-identical, a
-//! follower's replay is by construction the same op sequence in the same
-//! order, and (the kernel being a pure function of `(graph, BD[s], op)`)
-//! the promoted follower's state is bitwise equal to the leader's.
+//! Its users: a cluster shard leader appends every state-changing
+//! operation (bootstrap, apply, import, export) to its op log *as the
+//! serialized wire frame it ships to its follower*, so the log **is** the
+//! replication stream: entry `i` on the leader and entry `i` on the
+//! follower are byte-identical, a follower's replay is by construction the
+//! same op sequence in the same order, and (the kernel being a pure
+//! function of `(graph, BD[s], op)`) the promoted follower's state is
+//! bitwise equal to the leader's. The coordinator journal (`coord.oplog`)
+//! and the session's live history WAL (`history.wal`, see
+//! [`crate::history`]) are op logs too.
 //!
 //! Two backings behind one type: [`OpLog::memory`] for in-process nodes and
-//! the fault-injection harness, [`OpLog::open`] for `sbc node --dir`, which
-//! persists each entry as `[len: u32][fnv1a64: u64][bytes]` (little-endian,
-//! checksum over the payload) and truncates a torn tail on reopen — the
-//! same crash posture as the record stores' intent journals: a half-written
-//! final entry is indistinguishable from "the op never arrived", which the
-//! protocol already tolerates (the coordinator re-sends unacknowledged
-//! ops, and entries are deduplicated by index).
+//! the fault-injection harness, [`OpLog::open`] for files, which persist
+//! each entry as `[len: u32][fnv1a64: u64][bytes]` (little-endian, checksum
+//! over the payload) and truncate a torn tail on reopen — a half-written
+//! final entry is indistinguishable from "the entry never arrived", which
+//! every user tolerates (the coordinator re-sends unacknowledged ops and
+//! entries are deduplicated by index; the history WAL is synced before
+//! the manifest names its records). A compacted file starts with a 16-byte
+//! header (`EBCOPLG2` + base index); [`OpLog::truncate_prefix`] writes it
+//! through [`crate::durable`]'s atomic replace.
 
-use crate::recovery::fnv1a64;
+use crate::durable::{self, fnv1a64, DurableError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-use crate::BdError;
 
 /// Magic header of a compacted (format v2) op-log file: the 8-byte tag
 /// followed by the base index (`u64` LE) of the first retained entry.
@@ -37,6 +41,7 @@ const OPLOG_V2_MAGIC: &[u8; 8] = b"EBCOPLG2";
 /// durable prefix — e.g. cluster entries already acknowledged by the
 /// follower — without renumbering: indices are forever, `len()` keeps
 /// counting from 0, and a truncated index simply reads as `None`.
+#[derive(Debug)]
 pub struct OpLog {
     /// Index of the first retained entry (entries `0..base` were
     /// compacted away).
@@ -65,19 +70,18 @@ impl OpLog {
     /// anywhere before the tail is corruption, not a crash artifact, and
     /// is reported as an error. Both legacy headerless files and
     /// compacted files (v2 header carrying the base index) are readable.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, BdError> {
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, DurableError> {
         // A leftover `.tmp` is a compaction that died pre-rename; the
         // real file is intact, so the tmp is garbage.
-        std::fs::remove_file(tmp_path(path.as_ref())).ok();
+        std::fs::remove_file(durable::tmp_path(path.as_ref())).ok();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(path.as_ref())
-            .map_err(BdError::Io)?;
+            .open(path.as_ref())?;
         let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(BdError::Io)?;
+        file.read_to_end(&mut bytes)?;
         let mut pos = 0usize;
         let mut base = 0u64;
         if bytes.len() >= 16 && &bytes[..8] == OPLOG_V2_MAGIC {
@@ -97,8 +101,9 @@ impl OpLog {
                 if end == bytes.len() {
                     break; // torn tail: final entry half-written
                 }
-                return Err(BdError::Corrupt(format!(
-                    "oplog entry {} fails its checksum mid-file",
+                return Err(DurableError::Corrupt(format!(
+                    "{}: entry {} fails its checksum mid-file",
+                    path.as_ref().display(),
                     entries.len()
                 )));
             }
@@ -107,10 +112,9 @@ impl OpLog {
             durable = end;
         }
         if durable < bytes.len() {
-            file.set_len(durable as u64).map_err(BdError::Io)?;
+            file.set_len(durable as u64)?;
         }
-        file.seek(SeekFrom::Start(durable as u64))
-            .map_err(BdError::Io)?;
+        file.seek(SeekFrom::Start(durable as u64))?;
         Ok(OpLog {
             base,
             byte_len: entries.iter().map(|e| 12 + e.len() as u64).sum(),
@@ -123,13 +127,13 @@ impl OpLog {
     /// Append one entry, returning its index. File-backed logs write
     /// through immediately (an entry is either fully framed or torn, never
     /// silently reordered).
-    pub fn append(&mut self, entry: &[u8]) -> Result<u64, BdError> {
+    pub fn append(&mut self, entry: &[u8]) -> Result<u64, DurableError> {
         if let Some(file) = &mut self.file {
             let mut frame = Vec::with_capacity(12 + entry.len());
             frame.extend_from_slice(&(entry.len() as u32).to_le_bytes());
             frame.extend_from_slice(&fnv1a64(entry).to_le_bytes());
             frame.extend_from_slice(entry);
-            file.write_all(&frame).map_err(BdError::Io)?;
+            file.write_all(&frame)?;
         }
         self.byte_len += 12 + entry.len() as u64;
         self.entries.push(entry.to_vec());
@@ -173,11 +177,23 @@ impl OpLog {
     }
 
     /// Discard every entry with index `< upto` (keeping indices stable).
-    /// File-backed logs rewrite themselves as a compacted v2 file via
-    /// tmp+rename: a crash mid-compaction leaves the original intact (the
-    /// stale tmp is swept on the next open). Returns the number of
-    /// entries discarded.
-    pub fn truncate_prefix(&mut self, upto: u64) -> Result<u64, BdError> {
+    /// File-backed logs rewrite themselves as a compacted v2 file through
+    /// the atomic replace of [`crate::durable`]: a crash mid-compaction
+    /// leaves the original intact (the stale tmp is swept on the next
+    /// open). Returns the number of entries discarded.
+    pub fn truncate_prefix(&mut self, upto: u64) -> Result<u64, DurableError> {
+        let dropped = self.stage_truncate(upto)?;
+        if let (Some(path), true) = (&self.path, dropped > 0) {
+            durable::commit(path)?;
+            self.file = Some(OpenOptions::new().append(true).open(path)?);
+        }
+        Ok(dropped)
+    }
+
+    /// The first half of [`OpLog::truncate_prefix`]: drop the prefix in
+    /// memory and write the compacted file to its temp name, without the
+    /// commit. Only a crash test stops here; the log must then be dropped.
+    pub(crate) fn stage_truncate(&mut self, upto: u64) -> Result<u64, DurableError> {
         let upto = upto.min(self.len());
         if upto <= self.base {
             return Ok(0);
@@ -186,9 +202,7 @@ impl OpLog {
         self.entries.drain(..drop);
         self.base = upto;
         self.byte_len = self.entries.iter().map(|e| 12 + e.len() as u64).sum();
-        if let (Some(path), Some(_)) = (&self.path, &self.file) {
-            let path = path.clone();
-            let tmp = tmp_path(&path);
+        if let Some(path) = &self.path {
             let mut bytes = Vec::with_capacity(16 + self.byte_len as usize);
             bytes.extend_from_slice(OPLOG_V2_MAGIC);
             bytes.extend_from_slice(&self.base.to_le_bytes());
@@ -197,39 +211,18 @@ impl OpLog {
                 bytes.extend_from_slice(&fnv1a64(entry).to_le_bytes());
                 bytes.extend_from_slice(entry);
             }
-            {
-                let mut f = File::create(&tmp).map_err(BdError::Io)?;
-                f.write_all(&bytes).map_err(BdError::Io)?;
-                f.sync_data().map_err(BdError::Io)?;
-            }
-            std::fs::rename(&tmp, &path).map_err(BdError::Io)?;
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(BdError::Io)?;
-            file.seek(SeekFrom::End(0)).map_err(BdError::Io)?;
-            self.file = Some(file);
+            durable::write_tmp(path, &bytes)?;
         }
         Ok(drop as u64)
     }
 
     /// Sync the file backing (no-op in memory mode).
-    pub fn sync(&mut self) -> Result<(), BdError> {
+    pub fn sync(&mut self) -> Result<(), DurableError> {
         if let Some(file) = &mut self.file {
-            file.sync_data().map_err(BdError::Io)?;
+            file.sync_data()?;
         }
         Ok(())
     }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -359,11 +352,11 @@ mod tests {
             log.append(b"survivor").unwrap();
         }
         // a compaction that died pre-rename leaves a tmp next door
-        std::fs::write(super::tmp_path(&path), b"half written").unwrap();
+        std::fs::write(durable::tmp_path(&path), b"half written").unwrap();
         let log = OpLog::open(&path).unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log.entry(0), Some(&b"survivor"[..]));
-        assert!(!super::tmp_path(&path).exists());
+        assert!(!durable::tmp_path(&path).exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -379,7 +372,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[14] ^= 0x20; // flip a payload byte of entry 0
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(OpLog::open(&path), Err(BdError::Corrupt(_))));
+        assert!(matches!(OpLog::open(&path), Err(DurableError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }
 }

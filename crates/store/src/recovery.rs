@@ -14,13 +14,16 @@
 //!
 //! ## Intent record layout (`<path>.wal`, 76 bytes)
 //!
+//! A [`crate::durable::seal`]ed 61-byte payload:
+//!
 //! ```text
 //! offset  size  field
 //!      0     7  magic "EBCWAL\n"
 //!      7     1  op (1 = AddSource, 2 = Reslab, 3 = Migrate, 4 = RemoveSource)
 //!      8     4  source id, u32 LE      (AddSource/RemoveSource only, else 0)
 //!     12     8  payload checksum, u64 LE (FNV-1a of the encoded record
-//!                                         being appended; AddSource only)
+//!                                         being appended; single AddSource
+//!                                         only, 0 for a batch)
 //!     20    24  old geometry: n, count, cap (u64 LE each)
 //!     44    24  new geometry: n, count, cap (u64 LE each)
 //!     68     8  FNV-1a checksum of bytes 0..68, u64 LE
@@ -31,24 +34,24 @@
 //! Recovery is *kill-safe by write ordering*: the intent is fully written
 //! before the guarded files are touched, individual header-field updates
 //! and record `write_all`s are assumed atomic at the syscall level, and the
-//! sidecar is always replaced via temp-file + `rename`. A torn intent file
-//! (bad magic/length/checksum) therefore proves the guarded mutation never
-//! began and is simply discarded. The appended-record checksum stored in
-//! the intent lets recovery detect (and roll back) an appended record whose
-//! bytes did not survive.
+//! intent and the sidecar are always written by the atomic replace of
+//! [`crate::durable`]. A torn intent file (bad magic/length/checksum)
+//! therefore proves the guarded mutation never began and is simply
+//! discarded. The appended-record checksum stored in the intent lets
+//! recovery detect (and roll back) an appended record whose bytes did not
+//! survive.
 //!
-//! The guarantee is scoped to **process kill**, where the page cache
-//! preserves write ordering. It does *not* extend to power loss:
-//! [`crate::DiskBdStore::flush`] makes the record data durable, but the
-//! intent record, the sidecar rename, and their containing directory are
-//! deliberately not fsynced on the hot path, so a power cut can still
-//! reorder the journal protocol against the data writes. Hardening the
-//! journal for power loss (fsync of `.wal`, the sidecar temp file, and the
-//! directory at each commit point) is future work.
+//! Every commit point is now fsynced: the intent record, the sidecar and
+//! the re-slab temp file are `sync_data`ed before their rename, and the
+//! directory is fsynced after it; [`crate::DiskBdStore::flush`] syncs the
+//! record data. The guarantee is still *proven* only for **process kill**
+//! (the crash suites kill between steps, where the page cache preserves
+//! write ordering). Power loss can still reorder the in-place record and
+//! header writes against the journal, and no test yet simulates a power
+//! cut; that harness is ROADMAP item 3.
 
-use crate::disk::{
-    read_sidecar_ids, write_header_count, write_sidecar_atomic, FormatVersion, Header,
-};
+use crate::disk::{read_sidecar_ids, write_header_count, write_sidecar, FormatVersion, Header};
+use crate::durable::{self, fnv1a64};
 use ebc_core::bd::{BdError, BdResult};
 use ebc_graph::VertexId;
 use std::fs::OpenOptions;
@@ -56,7 +59,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const WAL_MAGIC: &[u8; 7] = b"EBCWAL\n";
-const WAL_LEN: usize = 76;
+/// Sealed payload length: op, source, payload checksum, two geometries.
+const INTENT_LEN: usize = 1 + 4 + 8 + 24 + 24;
 
 /// The multi-file mutation a write-ahead intent record guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,51 +141,37 @@ pub(crate) struct Intent {
     pub new: Geometry,
 }
 
-// 64-bit FNV-1a — used by intent records, the appended-record payload
-// guard, and the shard manifest; one canonical implementation lives in
-// ebc-graph (it also seals the structural snapshots the session manifest
-// embeds, so both layers must agree bit for bit).
-pub use ebc_graph::snapshot::fnv1a64;
-
 impl Intent {
-    pub(crate) fn encode(&self) -> [u8; WAL_LEN] {
-        let mut out = [0u8; WAL_LEN];
-        out[..7].copy_from_slice(WAL_MAGIC);
-        out[7] = self.op.id();
-        out[8..12].copy_from_slice(&self.source.to_le_bytes());
-        out[12..20].copy_from_slice(&self.payload_checksum.to_le_bytes());
-        for (i, g) in [self.old, self.new].into_iter().enumerate() {
-            let base = 20 + 24 * i;
-            out[base..base + 8].copy_from_slice(&g.n.to_le_bytes());
-            out[base + 8..base + 16].copy_from_slice(&g.count.to_le_bytes());
-            out[base + 16..base + 24].copy_from_slice(&g.cap.to_le_bytes());
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(INTENT_LEN);
+        out.push(self.op.id());
+        out.extend_from_slice(&self.source.to_le_bytes());
+        out.extend_from_slice(&self.payload_checksum.to_le_bytes());
+        for g in [self.old, self.new] {
+            out.extend_from_slice(&g.n.to_le_bytes());
+            out.extend_from_slice(&g.count.to_le_bytes());
+            out.extend_from_slice(&g.cap.to_le_bytes());
         }
-        let ck = fnv1a64(&out[..68]);
-        out[68..76].copy_from_slice(&ck.to_le_bytes());
-        out
+        durable::seal(WAL_MAGIC, &out)
     }
 
     pub(crate) fn decode(raw: &[u8]) -> Option<Intent> {
-        if raw.len() != WAL_LEN || &raw[..7] != WAL_MAGIC {
+        let p = durable::unseal(raw, WAL_MAGIC).ok()?;
+        if p.len() != INTENT_LEN {
             return None;
         }
-        let ck = u64::from_le_bytes(raw[68..76].try_into().expect("8 bytes"));
-        if ck != fnv1a64(&raw[..68]) {
-            return None;
-        }
-        let u64_at =
-            |off: usize| u64::from_le_bytes(raw[off..off + 8].try_into().expect("8 bytes"));
+        let u64_at = |off: usize| u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"));
         let geom = |base: usize| Geometry {
             n: u64_at(base),
             count: u64_at(base + 8),
             cap: u64_at(base + 16),
         };
         Some(Intent {
-            op: IntentOp::from_id(raw[7])?,
-            source: u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes")),
-            payload_checksum: u64_at(12),
-            old: geom(20),
-            new: geom(44),
+            op: IntentOp::from_id(p[0])?,
+            source: u32::from_le_bytes(p[1..5].try_into().expect("4 bytes")),
+            payload_checksum: u64_at(5),
+            old: geom(13),
+            new: geom(37),
         })
     }
 }
@@ -193,11 +183,10 @@ pub(crate) fn wal_path(path: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
-/// Durably write the intent record — the first step of every guarded
-/// mutation.
+/// Write the intent record (atomic replace, fsynced) — the first step of
+/// every guarded mutation.
 pub(crate) fn write_intent(path: &Path, intent: &Intent) -> BdResult<()> {
-    std::fs::write(wal_path(path), intent.encode())?;
-    Ok(())
+    Ok(durable::replace(&wal_path(path), &intent.encode())?)
 }
 
 /// Commit a guarded mutation by deleting its intent record.
@@ -238,9 +227,10 @@ pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
 
 /// Repair a torn `add_source`: roll forward iff the appended record is
 /// fully durable (length reached *and* payload checksum matches), else roll
-/// back to the pre-append state. Header count and sidecar are rewritten to
-/// match whichever side was chosen, and any partial trailing bytes are
-/// truncated away.
+/// back to the pre-append state. A torn `add_sources` batch (count grows
+/// by more than one) rolls forward only if its sidecar was written. Header
+/// count and sidecar are rewritten to match whichever side was chosen, and
+/// any partial trailing bytes are truncated away.
 fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     let header = Header::read_from(&mut file)?;
@@ -257,19 +247,25 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
     let stride = header.stride() as u64;
     let actual = file.metadata()?.len();
     let new_len = header.len() + intent.new.count * stride;
-    let complete = actual >= new_len && {
-        let mut rec = vec![0u8; stride as usize];
-        file.seek(SeekFrom::Start(header.len() + intent.old.count * stride))?;
-        file.read_exact(&mut rec)?;
-        fnv1a64(&rec) == intent.payload_checksum
-    };
     let mut ids = read_sidecar_ids(path)?;
+    // A single append carries its record's checksum. A batch carries none
+    // and is complete only once the sidecar lists it: the sidecar is
+    // written after every record and the header.
+    let complete = actual >= new_len
+        && if intent.new.count == intent.old.count + 1 {
+            let mut rec = vec![0u8; stride as usize];
+            file.seek(SeekFrom::Start(header.len() + intent.old.count * stride))?;
+            file.read_exact(&mut rec)?;
+            fnv1a64(&rec) == intent.payload_checksum
+        } else {
+            ids.len() as u64 == intent.new.count
+        };
     if complete {
         write_header_count(&mut file, intent.new.count)?;
         file.set_len(new_len)?;
         if ids.len() as u64 == intent.old.count {
             ids.push(intent.source);
-            write_sidecar_atomic(path, &ids)?;
+            write_sidecar(path, &ids)?;
         } else if ids.len() as u64 != intent.new.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -279,7 +275,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         file.set_len(header.len() + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
-            write_sidecar_atomic(path, &ids)?;
+            write_sidecar(path, &ids)?;
         } else if ids.len() as u64 != intent.old.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
@@ -328,7 +324,7 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
         }
         write_header_count(&mut file, intent.new.count)?;
         ids.swap_remove(slot);
-        write_sidecar_atomic(path, &ids)?;
+        write_sidecar(path, &ids)?;
     } else if ids.len() as u64 == intent.new.count {
         // Sidecar already new: the copy and count are durable by ordering.
         write_header_count(&mut file, intent.new.count)?;
@@ -339,15 +335,15 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
     Ok(RecoveryAction::RolledForward(IntentOp::RemoveSource))
 }
 
-/// Repair a torn re-slab or migration. The rewrite goes through a fully
-/// written `<path>.tmp` followed by an atomic rename, so the main file is
-/// always entirely old or entirely new; recovery just decides which side
-/// won and removes the leftover temp file.
+/// Repair a torn re-slab or migration. The rewrite is an atomic replace
+/// (fully written `<path>.tmp`, then rename), so the main file is always
+/// entirely old or entirely new; recovery just decides which side won and
+/// removes the leftover temp file.
 fn recover_rewrite(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
     let mut file = OpenOptions::new().read(true).open(path)?;
     let header = Header::read_from(&mut file)?;
     let geometry = Geometry::of(&header);
-    let tmp = path.with_extension("tmp");
+    let tmp = durable::tmp_path(path);
     let old_version = match intent.op {
         IntentOp::Migrate => FormatVersion::V1,
         _ => FormatVersion::V2,
@@ -368,6 +364,9 @@ fn recover_rewrite(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// On-disk length of an intent record: magic + payload + checksum.
+    const WAL_LEN: usize = 76;
 
     fn sample_intent() -> Intent {
         Intent {
@@ -409,6 +408,39 @@ mod tests {
         let mut bad_op = intent.encode();
         bad_op[7] = 9;
         assert_eq!(Intent::decode(&bad_op), None, "unknown op");
+    }
+
+    /// Byte-compatibility pin: the intent layout written before intents
+    /// moved onto the shared sealed codec, built by hand.
+    #[test]
+    fn intent_bytes_match_the_hand_built_layout() {
+        let intent = Intent {
+            op: IntentOp::RemoveSource,
+            source: 0x0102_0304,
+            payload_checksum: 0x1122_3344_5566_7788,
+            old: Geometry {
+                n: 7,
+                count: 5,
+                cap: 15,
+            },
+            new: Geometry {
+                n: 7,
+                count: 4,
+                cap: 15,
+            },
+        };
+        let mut want = [0u8; WAL_LEN];
+        want[..7].copy_from_slice(b"EBCWAL\n");
+        want[7] = 4;
+        want[8..12].copy_from_slice(&0x0102_0304u32.to_le_bytes());
+        want[12..20].copy_from_slice(&0x1122_3344_5566_7788u64.to_le_bytes());
+        for (i, v) in [7u64, 5, 15, 7, 4, 15].into_iter().enumerate() {
+            want[20 + 8 * i..28 + 8 * i].copy_from_slice(&v.to_le_bytes());
+        }
+        let ck = fnv1a64(&want[..68]);
+        want[68..].copy_from_slice(&ck.to_le_bytes());
+        assert_eq!(intent.encode(), want, "writer bytes changed");
+        assert_eq!(Intent::decode(&want), Some(intent), "reader refused");
     }
 
     #[test]

@@ -32,18 +32,12 @@
 
 use crate::codec::CodecKind;
 use crate::disk::{pending_exports, read_export_journal, DiskBdStore};
-use crate::recovery::fnv1a64;
+use crate::durable;
 use ebc_core::bd::{BdError, BdResult, BdStore};
 use ebc_graph::VertexId;
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 7] = b"EBCSHM\n";
-/// Original (v0) manifest: magic + pad + shards + version + checksum.
-const MANIFEST_LEN_V0: usize = 32;
-/// Extended (v1) manifest: v0 fields + the caller-set graph stamp — the
-/// binding between the shard directory and the session layer's graph
-/// snapshot (see [`ShardSet::set_graph_stamp`]).
-const MANIFEST_LEN_V1: usize = 40;
 
 /// Path of shard `k`'s data file inside `dir`.
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
@@ -54,49 +48,40 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("shards.manifest")
 }
 
-/// Atomically replace the manifest (temp file + rename): readers see the
-/// old version or the new one, nothing in between.
+/// Atomically replace the manifest, `seal(MANIFEST_MAGIC, [fmt] ‖ shards
+/// ‖ version ‖ graph_stamp)`. Format 1 carries the caller-set graph stamp
+/// — the binding between the shard directory and the session layer's
+/// graph snapshot (see [`ShardSet::set_graph_stamp`]).
 fn write_manifest(dir: &Path, shards: u64, version: u64, graph_stamp: u64) -> BdResult<()> {
-    let mut buf = Vec::with_capacity(MANIFEST_LEN_V1);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    buf.push(1); // manifest format: 1 = graph-stamp extension present
-    buf.extend_from_slice(&shards.to_le_bytes());
-    buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&graph_stamp.to_le_bytes());
-    let ck = fnv1a64(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
-    let path = manifest_path(dir);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, buf)?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(())
+    let mut payload = Vec::with_capacity(25);
+    payload.push(1); // manifest format: 1 = graph-stamp extension present
+    payload.extend_from_slice(&shards.to_le_bytes());
+    payload.extend_from_slice(&version.to_le_bytes());
+    payload.extend_from_slice(&graph_stamp.to_le_bytes());
+    Ok(durable::write_sealed(
+        &manifest_path(dir),
+        MANIFEST_MAGIC,
+        &payload,
+    )?)
 }
 
-/// Read either manifest format: v0 (32 bytes, no stamp — reported as 0) or
-/// v1 (40 bytes with the graph stamp). Returns `(shards, version, stamp)`.
+/// Read either manifest format: v0 (no stamp — reported as 0) or v1
+/// (with the graph stamp). Returns `(shards, version, stamp)`.
 fn read_manifest(dir: &Path) -> BdResult<(usize, u64, u64)> {
     let raw = std::fs::read(manifest_path(dir))
         .map_err(|_| BdError::Corrupt("missing shard manifest".into()))?;
-    if (raw.len() != MANIFEST_LEN_V0 && raw.len() != MANIFEST_LEN_V1) || &raw[..7] != MANIFEST_MAGIC
-    {
+    let p = durable::unseal(&raw, MANIFEST_MAGIC)
+        .map_err(|e| BdError::Corrupt(format!("shard manifest: {e}")))?;
+    if p.len() != 17 && p.len() != 25 {
         return Err(BdError::Corrupt("bad shard manifest".into()));
     }
-    let body = raw.len() - 8;
-    let ck = u64::from_le_bytes(raw[body..].try_into().expect("8 bytes"));
-    if ck != fnv1a64(&raw[..body]) {
-        return Err(BdError::Corrupt("shard manifest checksum mismatch".into()));
-    }
-    let shards = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")) as usize;
-    let version = u64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
-    let graph_stamp = if raw.len() == MANIFEST_LEN_V1 {
-        u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"))
-    } else {
-        0
-    };
+    let u64_at = |off: usize| u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"));
+    let shards = u64_at(1) as usize;
+    let graph_stamp = if p.len() == 25 { u64_at(17) } else { 0 };
     if shards == 0 {
         return Err(BdError::Corrupt("shard manifest names zero shards".into()));
     }
-    Ok((shards, version, graph_stamp))
+    Ok((shards, u64_at(9), graph_stamp))
 }
 
 /// What [`ShardSet::open`] had to do about one pending export journal.
@@ -654,17 +639,52 @@ mod tests {
         set.flush().unwrap();
         drop(set);
         // rewrite the manifest in the pre-extension 32-byte layout
-        let mut buf = Vec::with_capacity(MANIFEST_LEN_V0);
+        let mut buf = Vec::new();
         buf.extend_from_slice(MANIFEST_MAGIC);
         buf.push(0);
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        let ck = fnv1a64(&buf);
+        let ck = crate::durable::fnv1a64(&buf);
         buf.extend_from_slice(&ck.to_le_bytes());
         std::fs::write(manifest_path(&dir), buf).unwrap();
         let set = ShardSet::open(&dir).unwrap();
         assert_eq!(set.graph_stamp(), 0, "v0 manifests read as unstamped");
         assert_eq!(set.assignment(), vec![vec![1], Vec::new()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte-compatibility pin: both manifest layouts written before the
+    /// manifest moved onto the shared sealed codec, built by hand — the
+    /// 40-byte v1 (what the writer emits) and the 32-byte v0.
+    #[test]
+    fn manifest_bytes_match_the_hand_built_layouts() {
+        let dir = tmpdir("manifest_pin");
+        let hand = |fmt: u8, stamp: Option<u64>| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"EBCSHM\n");
+            buf.push(fmt);
+            buf.extend_from_slice(&3u64.to_le_bytes());
+            buf.extend_from_slice(&9u64.to_le_bytes());
+            if let Some(stamp) = stamp {
+                buf.extend_from_slice(&stamp.to_le_bytes());
+            }
+            let ck = crate::durable::fnv1a64(&buf);
+            buf.extend_from_slice(&ck.to_le_bytes());
+            buf
+        };
+        let v1 = hand(1, Some(0xFEED_F00D));
+        assert_eq!(v1.len(), 40);
+        write_manifest(&dir, 3, 9, 0xFEED_F00D).unwrap();
+        assert_eq!(
+            std::fs::read(manifest_path(&dir)).unwrap(),
+            v1,
+            "writer bytes changed"
+        );
+        assert_eq!(read_manifest(&dir).unwrap(), (3, 9, 0xFEED_F00D));
+        let v0 = hand(0, None);
+        assert_eq!(v0.len(), 32);
+        std::fs::write(manifest_path(&dir), v0).unwrap();
+        assert_eq!(read_manifest(&dir).unwrap(), (3, 9, 0), "v0 reader refused");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -56,15 +56,16 @@ use ebc_engine::{ClusterEngine, EngineError};
 use ebc_graph::snapshot::SnapshotError;
 use ebc_graph::stream::EdgeOp;
 use ebc_graph::{Graph, VertexId};
-use ebc_store::history::{read_sealed, write_sealed, HistoryError, HistoryLog, HistoryStats};
+use ebc_store::durable::{read_sealed, replace, seal, unseal, write_sealed, DurableError};
+use ebc_store::history::{HistoryError, HistoryLog, HistoryStats};
 use ebc_store::{fnv1a64, BdStore, CodecKind, DiskBdStore, ShardSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Name of the session manifest inside a durable session directory.
 const MANIFEST_NAME: &str = "session.manifest";
-/// First line of every session manifest.
-const MANIFEST_MAGIC: &str = "EBCSESSION v1";
+/// Magic (first line) of every session manifest.
+const MANIFEST_MAGIC: &[u8] = b"EBCSESSION v1\n";
 /// Data file of a single-machine disk session.
 const DISK_STORE_NAME: &str = "bd.ebc";
 /// Identity stamp of a single-machine disk session (see [`write_stamp`]).
@@ -244,9 +245,16 @@ impl From<ebc_core::state::StateError> for SessionError {
 
 impl From<SnapshotError> for SessionError {
     fn from(e: SnapshotError) -> Self {
+        let SnapshotError::Corrupt(msg) = e;
+        SessionError::Corrupt(format!("graph snapshot: {msg}"))
+    }
+}
+
+impl From<DurableError> for SessionError {
+    fn from(e: DurableError) -> Self {
         match e {
-            SnapshotError::Io(io) => SessionError::Io(io),
-            SnapshotError::Corrupt(msg) => SessionError::Corrupt(format!("graph snapshot: {msg}")),
+            DurableError::Io(io) => SessionError::Io(io),
+            DurableError::Corrupt(msg) => SessionError::Corrupt(msg),
         }
     }
 }
@@ -509,11 +517,8 @@ fn corrupt(msg: impl Into<String>) -> SessionError {
 /// of the sharded manifest's graph stamp for the single-store layout.
 /// Written once at build; immutable for the session's lifetime.
 fn write_stamp(dir: &Path, session_id: u64) -> Result<(), SessionError> {
-    let path = dir.join(STAMP_NAME);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, format!("EBCSTAMP v1\n{session_id:016x}\n"))?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(())
+    let stamp = format!("EBCSTAMP v1\n{session_id:016x}\n");
+    Ok(replace(&dir.join(STAMP_NAME), stamp.as_bytes())?)
 }
 
 fn read_stamp(dir: &Path) -> Result<u64, SessionError> {
@@ -529,11 +534,10 @@ fn read_stamp(dir: &Path) -> Result<u64, SessionError> {
     u64::from_str_radix(hex, 16).map_err(|_| corrupt("bad session stamp value"))
 }
 
+/// `seal(MANIFEST_MAGIC, header ‖ snapshot)`: `key=value` header lines,
+/// then the graph's structural snapshot.
 fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Vec<u8> {
     let snapshot = graph.snapshot_bytes();
-    let mut buf = Vec::with_capacity(snapshot.len() + 256);
-    buf.extend_from_slice(MANIFEST_MAGIC.as_bytes());
-    buf.push(b'\n');
     let codec = match d.codec {
         CodecKind::Wide => "wide",
         CodecKind::Paper => "paper",
@@ -547,30 +551,22 @@ fn encode_manifest(d: &Durable, graph: &Graph, map_version: u64, seq: u64) -> Ve
         d.session_id,
         snapshot.len(),
     );
-    buf.extend_from_slice(header.as_bytes());
-    buf.extend_from_slice(&snapshot);
-    let ck = fnv1a64(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
-    buf
+    let mut payload = header.into_bytes();
+    payload.extend_from_slice(&snapshot);
+    seal(MANIFEST_MAGIC, &payload)
 }
 
 fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
-    if raw.len() < 16 {
-        return Err(corrupt("session manifest truncated"));
-    }
-    let (body, ck_bytes) = raw.split_at(raw.len() - 8);
-    let ck = u64::from_le_bytes(ck_bytes.try_into().expect("8 bytes"));
-    if ck != fnv1a64(body) {
-        return Err(corrupt("session manifest checksum mismatch"));
-    }
-    // Header lines (magic + key=value fields, `snapshot_len` always last),
-    // then the embedded snapshot bytes. Manifests that predate the history
-    // subsystem have no `seq=` line — 9 lines instead of 10 — so the
+    let body =
+        unseal(raw, MANIFEST_MAGIC).map_err(|e| corrupt(format!("session manifest: {e}")))?;
+    // Header lines (key=value fields, `snapshot_len` always last), then
+    // the embedded snapshot bytes. Manifests that predate the history
+    // subsystem have no `seq=` line — 8 lines instead of 9 — so the
     // header is read until `snapshot_len` rather than by a fixed count.
     let mut pos = 0usize;
-    let mut lines = Vec::with_capacity(10);
+    let mut lines = Vec::with_capacity(9);
     loop {
-        if lines.len() > 16 {
+        if lines.len() > 15 {
             return Err(corrupt("session manifest header never ends"));
         }
         let nl = body[pos..]
@@ -585,46 +581,43 @@ fn decode_manifest(raw: &[u8]) -> Result<Manifest, SessionError> {
             break;
         }
     }
-    if lines[0] != MANIFEST_MAGIC {
-        return Err(corrupt(format!("unknown manifest magic {:?}", lines[0])));
-    }
     let field = |idx: usize, key: &str| -> Result<&str, SessionError> {
         lines[idx]
             .strip_prefix(key)
             .and_then(|rest| rest.strip_prefix('='))
             .ok_or_else(|| corrupt(format!("manifest line {idx} is not `{key}=...`")))
     };
-    let kind = match field(1, "backend")? {
+    let kind = match field(0, "backend")? {
         "disk" => DurableKind::Disk,
         "sharded" => DurableKind::Sharded,
         other => return Err(corrupt(format!("unknown backend {other:?}"))),
     };
-    let workers: usize = field(2, "workers")?
+    let workers: usize = field(1, "workers")?
         .parse()
         .map_err(|_| corrupt("bad workers field"))?;
-    let codec = match field(3, "codec")? {
+    let codec = match field(2, "codec")? {
         "wide" => CodecKind::Wide,
         "paper" => CodecKind::Paper,
         other => return Err(corrupt(format!("unknown codec {other:?}"))),
     };
     // `prune=` is reserved: written as 0, any value read (the knob it held
     // is gone and never changed scores)
-    field(4, "prune")?;
+    field(3, "prune")?;
     let cfg = UpdateConfig {
-        maintain_predecessors: field(5, "preds")? == "1",
+        maintain_predecessors: field(4, "preds")? == "1",
     };
-    let session_id = u64::from_str_radix(field(6, "session")?, 16)
+    let session_id = u64::from_str_radix(field(5, "session")?, 16)
         .map_err(|_| corrupt("bad session id field"))?;
-    let map_version: u64 = field(7, "map_version")?
+    let map_version: u64 = field(6, "map_version")?
         .parse()
         .map_err(|_| corrupt("bad map_version field"))?;
-    let (seq, snap_idx) = if lines.len() == 10 {
-        let seq: u64 = field(8, "seq")?
+    let (seq, snap_idx) = if lines.len() == 9 {
+        let seq: u64 = field(7, "seq")?
             .parse()
             .map_err(|_| corrupt("bad seq field"))?;
-        (seq, 9)
+        (seq, 8)
     } else {
-        (0, 8) // legacy pre-history manifest
+        (0, 7) // legacy pre-history manifest
     };
     let snapshot_len: usize = field(snap_idx, "snapshot_len")?
         .parse()
@@ -1087,10 +1080,7 @@ impl Session {
         }
         let map_version = self.engine.shard_map_version().unwrap_or(0);
         let bytes = encode_manifest(durable, self.engine.graph(), map_version, self.seq);
-        let path = durable.dir.join(MANIFEST_NAME);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        replace(&durable.dir.join(MANIFEST_NAME), &bytes)?;
         // Compaction rides the checkpoint: everything ≤ self.seq is now
         // covered by the manifest, so the prefix is sealed exactly at the
         // checkpoint boundary — never past it.
@@ -1214,4 +1204,64 @@ fn replay_records(
     }
     let reduced = EbcEngine::reduce_exact(&mut state)?;
     Ok((state.graph().clone(), reduced))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Byte-compatibility pin: the session manifest layout written before
+    /// manifests moved onto the shared sealed codec, built by hand — the
+    /// writer emits it, and the reader accepts it and its pre-history
+    /// variant (no `seq=` line).
+    #[test]
+    fn manifest_bytes_match_the_hand_built_layout() {
+        let mut graph = Graph::with_vertices(4);
+        graph.add_edge(0, 1).unwrap();
+        graph.add_edge(2, 1).unwrap();
+        let snapshot = graph.snapshot_bytes();
+        let d = Durable {
+            dir: PathBuf::new(),
+            kind: DurableKind::Sharded,
+            workers: 3,
+            cfg: UpdateConfig {
+                maintain_predecessors: true,
+            },
+            codec: CodecKind::Paper,
+            checkpoint: Checkpoint::EveryApply,
+            compaction: CompactionConfig::default(),
+            session_id: 0x0123_4567_89ab_cdef,
+        };
+        let hand = |seq_line: &str| {
+            let mut buf = format!(
+                "EBCSESSION v1\nbackend=sharded\nworkers=3\ncodec=paper\nprune=0\npreds=1\n\
+                 session=0123456789abcdef\nmap_version=5\n{seq_line}snapshot_len={}\n",
+                snapshot.len()
+            )
+            .into_bytes();
+            buf.extend_from_slice(&snapshot);
+            let ck = fnv1a64(&buf);
+            buf.extend_from_slice(&ck.to_le_bytes());
+            buf
+        };
+        let want = hand("seq=42\n");
+        assert_eq!(
+            encode_manifest(&d, &graph, 5, 42),
+            want,
+            "writer bytes changed"
+        );
+        for (raw, seq) in [(want, 42), (hand(""), 0)] {
+            let m = decode_manifest(&raw).expect("reader refused");
+            assert_eq!(m.kind, DurableKind::Sharded);
+            assert_eq!(
+                (m.workers, m.codec, m.cfg.maintain_predecessors),
+                (3, CodecKind::Paper, true)
+            );
+            assert_eq!(
+                (m.session_id, m.map_version, m.seq),
+                (0x0123_4567_89ab_cdef, 5, seq)
+            );
+            assert_eq!(m.snapshot, snapshot);
+        }
+    }
 }
