@@ -9,7 +9,8 @@
 //!      8     8  n     u64 LE — live vertex count
 //!     16     8  count u64 LE — committed source count
 //!     24     8  cap   u64 LE — slab capacity in vertex slots (cap ≥ n)
-//!     32     8  reserved (zero)
+//!     32     8  generation u64 LE — data-checkpoint generation of the redo
+//!                 log (zero in files written before it existed)
 //!     40     —  records: count × stride, stride = codec.record_size(cap)
 //! ```
 //!
@@ -28,6 +29,16 @@
 //! export journals and the re-slab rewrite are all atomic replaces through
 //! [`crate::durable`].
 //!
+//! In-place record writes are made durable through the physical redo log
+//! `<path>.redo` ([`crate::redo`]): [`DiskBdStore::flush`] syncs only the
+//! changed bytes, and a *data checkpoint* (`sync_data` of this file, then
+//! an empty log) runs when the log reaches [`DiskBdStore::data_bytes`] and
+//! around every intent-guarded operation, so log offsets never outlive a
+//! geometry change. A kill between an in-place write and the next `flush`
+//! leaves records ahead of the caller's last durable cut, as it always
+//! did: the log is written ahead of the data, so replay never rolls one
+//! back.
+//!
 //! Legacy v1 files (magic `EBCBD1\n`, 24-byte header, `cap == n`) are still
 //! readable; the first write-capable operation migrates them to v2 in one
 //! guarded rewrite.
@@ -35,19 +46,23 @@
 use crate::codec::CodecKind;
 use crate::durable::{self, fnv1a64};
 use crate::recovery::{self, Geometry, Intent, IntentOp, RecoveryAction};
+use crate::redo::{RedoLog, RedoStats};
 use ebc_core::bd::{
     BatchSourceFn, BatchStats, BdError, BdResult, BdStore, ExportedRecord, RecordFn, SourceFn,
     SourceViewMut,
 };
 use ebc_graph::{FxHashMap, FxHashSet, VertexId, UNREACHABLE};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 pub(crate) const MAGIC_V1: &[u8; 7] = b"EBCBD1\n";
 pub(crate) const MAGIC_V2: &[u8; 7] = b"EBCBD2\n";
 pub(crate) const HEADER_LEN_V1: u64 = 7 + 1 + 8 + 8;
 pub(crate) const HEADER_LEN_V2: u64 = 7 + 1 + 8 + 8 + 8 + 8;
+/// Offset of the v2 header's data-checkpoint generation.
+const GENERATION_AT: u64 = 32;
 
 /// On-disk format generation of an open store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +82,8 @@ pub(crate) struct Header {
     pub n: usize,
     pub count: usize,
     pub cap: usize,
+    /// Data-checkpoint generation of the redo log (v2 only, else 0).
+    pub generation: u64,
 }
 
 impl Header {
@@ -97,10 +114,9 @@ impl Header {
     /// disk, so the file length they imply is computed with checked
     /// arithmetic: a geometry that overflows is `Corrupt`, and every
     /// `record_offset(slot)` with `slot <= count` is then in range.
-    pub fn read_from(file: &mut File) -> BdResult<Header> {
-        file.seek(SeekFrom::Start(0))?;
+    pub fn read_from(file: &File) -> BdResult<Header> {
         let mut fixed = [0u8; HEADER_LEN_V1 as usize];
-        file.read_exact(&mut fixed)
+        file.read_exact_at(&mut fixed, 0)
             .map_err(|_| BdError::Corrupt("truncated header".into()))?;
         let version = match &fixed[..7] {
             m if m == MAGIC_V1 => FormatVersion::V1,
@@ -111,11 +127,11 @@ impl Header {
             .ok_or_else(|| BdError::Corrupt(format!("unknown codec id {}", fixed[7])))?;
         let n = u64::from_le_bytes(fixed[8..16].try_into().expect("8 bytes")) as usize;
         let count = u64::from_le_bytes(fixed[16..24].try_into().expect("8 bytes")) as usize;
-        let cap = match version {
-            FormatVersion::V1 => n,
+        let (cap, generation) = match version {
+            FormatVersion::V1 => (n, 0),
             FormatVersion::V2 => {
                 let mut ext = [0u8; 16];
-                file.read_exact(&mut ext)
+                file.read_exact_at(&mut ext, HEADER_LEN_V1)
                     .map_err(|_| BdError::Corrupt("truncated v2 header".into()))?;
                 let cap = u64::from_le_bytes(ext[..8].try_into().expect("8 bytes")) as usize;
                 if cap < n {
@@ -123,7 +139,10 @@ impl Header {
                         "slab capacity {cap} below vertex count {n}"
                     )));
                 }
-                cap
+                (
+                    cap,
+                    u64::from_le_bytes(ext[8..].try_into().expect("8 bytes")),
+                )
             }
         };
         let header = Header {
@@ -132,6 +151,7 @@ impl Header {
             n,
             count,
             cap,
+            generation,
         };
         codec
             .checked_record_size(cap)
@@ -154,7 +174,7 @@ impl Header {
         buf.extend_from_slice(&(self.n as u64).to_le_bytes());
         buf.extend_from_slice(&(self.count as u64).to_le_bytes());
         buf.extend_from_slice(&(self.cap as u64).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&self.generation.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&buf)?;
         Ok(())
@@ -163,16 +183,8 @@ impl Header {
 
 /// Update the header's source-count field in place (offset 16, both
 /// versions) — a single 8-byte write, atomic under the crash model.
-pub(crate) fn write_header_count(file: &mut File, count: u64) -> BdResult<()> {
-    file.seek(SeekFrom::Start(16))?;
-    file.write_all(&count.to_le_bytes())?;
-    Ok(())
-}
-
-/// Update the header's live-vertex-count field in place (offset 8).
-pub(crate) fn write_header_n(file: &mut File, n: u64) -> BdResult<()> {
-    file.seek(SeekFrom::Start(8))?;
-    file.write_all(&n.to_le_bytes())?;
+pub(crate) fn write_header_count(file: &File, count: u64) -> BdResult<()> {
+    file.write_all_at(&count.to_le_bytes(), 16)?;
     Ok(())
 }
 
@@ -338,8 +350,9 @@ pub(crate) fn slab_cap(n: usize) -> usize {
 /// on disk), bounding the batch buffer instead of materialising an
 /// arbitrarily large run — at paper scale a run can span thousands of
 /// multi-megabyte records. 256 KiB keeps the buffer cache-resident; the
-/// committed `BENCH_store_io.json` sweep picked it.
-const MAX_RUN_BYTES: usize = 256 << 10;
+/// committed `BENCH_store_io.json` sweep picked it. It also bounds one redo
+/// frame ([`crate::redo`]).
+pub(crate) const MAX_RUN_BYTES: usize = 256 << 10;
 
 /// One maximal run of contiguous record slots inside a [`BatchPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -395,6 +408,21 @@ impl BatchPlan {
     }
 }
 
+/// The first maximal stretch `i..j` of `group` at or after `from` whose
+/// slots are consecutive and whose members all pass `keep`.
+fn stretch(
+    group: &[(usize, VertexId)],
+    from: usize,
+    keep: impl Fn(usize) -> bool,
+) -> Option<(usize, usize)> {
+    let i = (from..group.len()).find(|&i| keep(i))?;
+    let mut j = i + 1;
+    while j < group.len() && keep(j) && group[j].0 == group[j - 1].0 + 1 {
+        j += 1;
+    }
+    Some((i, j))
+}
+
 /// Out-of-core `BD` store: one columnar slab record per source, updated in
 /// place, with batched I/O and crash recovery (format v2).
 pub struct DiskBdStore {
@@ -407,6 +435,13 @@ pub struct DiskBdStore {
     order: Vec<VertexId>,
     index: FxHashMap<VertexId, usize>,
     recovered: Option<RecoveryAction>,
+    redo: RedoLog,
+    /// In-place writes neither logged nor synced yet (a fresh header, or
+    /// the unlogged steps of an intent-guarded operation).
+    unlogged: bool,
+    /// `(frames, bytes)` the opening replay applied.
+    replayed: (u64, u64),
+    checkpoints: u64,
     // reusable scratch (decode/encode buffers, batch run buffer)
     raw: Vec<u8>,
     batch: Vec<u8>,
@@ -450,10 +485,13 @@ impl DiskBdStore {
             n,
             count: 0,
             cap,
+            generation: 0,
         };
         header.write_to(&mut file)?;
         write_sidecar(&path, &[])?;
         recovery::clear_intent(&path)?;
+        let mut redo = RedoLog::open(&path, 0)?;
+        redo.truncate(0)?;
         Ok(DiskBdStore {
             file,
             path,
@@ -464,6 +502,10 @@ impl DiskBdStore {
             order: Vec::new(),
             index: FxHashMap::default(),
             recovered: None,
+            redo,
+            unlogged: true,
+            replayed: (0, 0),
+            checkpoints: 0,
             raw: Vec::new(),
             batch: Vec::new(),
             d: Vec::new(),
@@ -475,13 +517,14 @@ impl DiskBdStore {
     }
 
     /// Open an existing store (either format generation): run crash
-    /// recovery if an intent record is pending, then validate header,
-    /// sidecar, and exact file length.
+    /// recovery if an intent record is pending, replay the redo log, then
+    /// validate header, sidecar, and exact file length. A non-empty redo
+    /// log ends in a data checkpoint, so it is replayed once.
     pub fn open<P: AsRef<Path>>(path: P) -> BdResult<Self> {
         let path = path.as_ref().to_path_buf();
         let recovered = recovery::run_recovery(&path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let header = Header::read_from(&mut file)?;
+        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let mut header = Header::read_from(&file)?;
         let order = read_sidecar_ids(&path)?;
         if order.len() != header.count {
             return Err(BdError::Corrupt(format!(
@@ -502,8 +545,18 @@ impl DiskBdStore {
                 "trailing garbage: data file is {actual} bytes, header implies {expect_len}"
             )));
         }
+        let mut redo = RedoLog::open(&path, header.generation)?;
+        // a v1 file is migrated before its first logged write, so any
+        // frames next to one are stale
+        let replayed = match header.version {
+            FormatVersion::V2 if redo.len() > 0 => redo.replay(&file, &header)?,
+            _ => (0, 0),
+        };
+        if replayed.0 > 0 {
+            header = Header::read_from(&file)?; // the live vertex count may move
+        }
         let index = order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        Ok(DiskBdStore {
+        let mut store = DiskBdStore {
             file,
             path,
             codec: header.codec,
@@ -513,6 +566,10 @@ impl DiskBdStore {
             order,
             index,
             recovered,
+            redo,
+            unlogged: false,
+            replayed,
+            checkpoints: 0,
             raw: Vec::new(),
             batch: Vec::new(),
             d: Vec::new(),
@@ -520,7 +577,13 @@ impl DiskBdStore {
             delta: Vec::new(),
             bytes_read: 0,
             bytes_written: 0,
-        })
+        };
+        if store.version == FormatVersion::V1 && store.redo.len() > 0 {
+            store.redo.truncate(0)?;
+        }
+        // make the replay durable and empty the log
+        store.data_checkpoint()?;
+        Ok(store)
     }
 
     /// The codec in use.
@@ -556,6 +619,19 @@ impl DiskBdStore {
         self.recovered
     }
 
+    /// The redo log's live size, the opening replay, and the data
+    /// checkpoints taken (see [`crate::redo`]).
+    pub fn redo_stats(&self) -> RedoStats {
+        RedoStats {
+            live_bytes: self.redo.len(),
+            live_frames: self.redo.frames(),
+            replayed_frames: self.replayed.0,
+            replayed_bytes: self.replayed.1,
+            checkpoints: self.checkpoints,
+            generation: self.redo.generation(),
+        }
+    }
+
     /// Total on-disk record bytes (excluding header/sidecar) — the quantity
     /// the paper sizes as `O(n²/p)` per machine (§5.2). Slab headroom is
     /// physical file space and is included.
@@ -570,6 +646,7 @@ impl DiskBdStore {
             n: self.n,
             count: self.order.len(),
             cap: self.cap,
+            generation: self.redo.generation(),
         }
     }
 
@@ -615,9 +692,8 @@ impl DiskBdStore {
         let size = self.stride();
         let off = self.record_offset(slot);
         self.raw.resize(size, 0);
-        self.file.seek(SeekFrom::Start(off))?;
         self.file
-            .read_exact(&mut self.raw)
+            .read_exact_at(&mut self.raw, off)
             .map_err(|_| BdError::Corrupt(format!("record {slot} truncated")))?;
         self.bytes_read += size as u64;
         self.d.resize(self.cap, 0);
@@ -628,14 +704,17 @@ impl DiskBdStore {
         Ok(())
     }
 
+    /// Encode the scratch record, log its changes against the pre-image
+    /// `read_record` left in `raw`, then write it in place.
     fn write_record(&mut self, slot: usize) -> BdResult<()> {
         let size = self.stride();
         let off = self.record_offset(slot);
-        self.raw.resize(size, 0);
+        self.batch.resize(size, 0);
         self.codec
-            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(&self.raw)?;
+            .encode_record(&self.d, &self.sigma, &self.delta, &mut self.batch);
+        self.redo.log_diff(off, &mut self.raw, &self.batch)?;
+        self.redo.emit()?;
+        self.file.write_all_at(&self.raw, off)?;
         self.bytes_written += size as u64;
         Ok(())
     }
@@ -668,6 +747,7 @@ impl DiskBdStore {
         crash: Option<RewriteCrash>,
     ) -> BdResult<()> {
         debug_assert!(new_cap >= new_n && new_n >= self.n);
+        self.data_checkpoint()?;
         let old_header = self.header();
         let new_header = Header {
             version: FormatVersion::V2,
@@ -675,6 +755,7 @@ impl DiskBdStore {
             n: new_n,
             count: self.order.len(),
             cap: new_cap,
+            generation: self.redo.generation(),
         };
         recovery::write_intent(
             &self.path,
@@ -719,12 +800,58 @@ impl DiskBdStore {
         Ok(())
     }
 
-    /// Force record data to durable storage. The `.idx` sidecar is not
-    /// rewritten here: every operation that changes the source order
-    /// replaces it before returning, and recovery at open repairs a torn one.
+    /// Make every record write durable. This syncs only the redo log,
+    /// whose frames hold the changed bytes; once the log reaches
+    /// [`DiskBdStore::data_bytes`] (replay would then write as much as
+    /// the data file holds) it takes a data checkpoint instead. The `.idx`
+    /// sidecar is not rewritten here: every operation that changes the
+    /// source order replaces it before returning, and recovery at open
+    /// repairs a torn one.
     pub fn flush(&mut self) -> BdResult<()> {
-        self.file.sync_data()?;
+        if self.unlogged || self.redo.len() >= self.data_bytes() {
+            return self.data_checkpoint();
+        }
+        self.redo.sync()?;
         Ok(())
+    }
+
+    /// The data checkpoint: `sync_data` the data file, then empty the redo
+    /// log. When the log holds frames, the header's generation is bumped
+    /// and synced in between — after the records, so the frames go stale
+    /// only once their writes are durable, and a lost truncation leaves
+    /// nothing the next open would replay. A no-op when every write is
+    /// already synced.
+    pub fn data_checkpoint(&mut self) -> BdResult<()> {
+        self.data_checkpoint_inner(None)
+    }
+
+    fn data_checkpoint_inner(&mut self, crash: Option<CheckpointCrash>) -> BdResult<()> {
+        if !self.unlogged && self.redo.len() == 0 {
+            return Ok(());
+        }
+        self.file.sync_data()?;
+        if self.redo.len() > 0 {
+            debug_assert_eq!(self.version, FormatVersion::V2, "v1 files log nothing");
+            let generation = self.redo.generation() + 1;
+            self.file
+                .write_all_at(&generation.to_le_bytes(), GENERATION_AT)?;
+            self.file.sync_data()?;
+            if crash == Some(CheckpointCrash::AfterDataSync) {
+                return Ok(());
+            }
+            self.redo.truncate(generation)?;
+        }
+        self.unlogged = false;
+        self.checkpoints += 1;
+        Ok(())
+    }
+
+    /// Close an intent-guarded operation: its unlogged writes become
+    /// durable with a data checkpoint, then the intent is cleared.
+    fn commit_intent(&mut self) -> BdResult<()> {
+        self.unlogged = true;
+        self.data_checkpoint()?;
+        recovery::clear_intent(&self.path)
     }
 }
 
@@ -761,9 +888,8 @@ impl BdStore for DiskBdStore {
         let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
         let span = (hi - lo + 1) * dw;
         self.raw.resize(span.max(self.raw.len()), 0);
-        self.file.seek(SeekFrom::Start(base + (lo * dw) as u64))?;
         self.file
-            .read_exact(&mut self.raw[..span])
+            .read_exact_at(&mut self.raw[..span], base + (lo * dw) as u64)
             .map_err(|_| BdError::Corrupt("distance column truncated".into()))?;
         self.bytes_read += span as u64;
         let at = |v: usize| {
@@ -791,7 +917,9 @@ impl BdStore for DiskBdStore {
 
     /// Coalesced batch path: per-source constant-offset peeks first, then
     /// the affected records are read in contiguous [`BatchPlan`] runs (one
-    /// seek per run) and dirty records written back in coalesced sub-runs.
+    /// positioned read per run, per buffer group) and dirty records written
+    /// back in coalesced sub-runs. Each group's changed bytes reach the
+    /// redo log as one frame before its write-back.
     fn update_batch(
         &mut self,
         sources: &[VertexId],
@@ -813,70 +941,75 @@ impl BdStore for DiskBdStore {
         let plan = BatchPlan::build(affected);
         let stride = self.stride();
         let n = self.n;
-        // keep the run buffer bounded (and cache-resident): long runs are
-        // serviced in sequential chunks of up to MAX_RUN_BYTES
-        let chunk_records = (MAX_RUN_BYTES / stride).max(1);
+        // keep the record buffer bounded (and cache-resident): the plan is
+        // serviced in groups of up to MAX_RUN_BYTES, each filled with one
+        // positioned read per contiguous stretch of slots
+        let group_records = (MAX_RUN_BYTES / stride).max(1);
+        let slots: Vec<(usize, VertexId)> = plan
+            .runs()
+            .iter()
+            .flat_map(|r| (r.first_slot..).zip(r.sources.iter().copied()))
+            .collect();
         let mut dirty: Vec<bool> = Vec::new();
-        for run in plan.runs() {
-            for (ci, chunk) in run.sources.chunks(chunk_records).enumerate() {
-                let first_slot = run.first_slot + ci * chunk_records;
-                let bytes = chunk.len() * stride;
-                let off = self.record_offset(first_slot);
-                self.batch.resize(bytes, 0);
-                self.file.seek(SeekFrom::Start(off))?;
-                self.file.read_exact(&mut self.batch).map_err(|_| {
-                    BdError::Corrupt(format!("record run at slot {first_slot} truncated"))
-                })?;
-                self.bytes_read += bytes as u64;
-                dirty.clear();
-                dirty.resize(chunk.len(), false);
-                for (i, &s) in chunk.iter().enumerate() {
-                    self.d.resize(self.cap, 0);
-                    self.sigma.resize(self.cap, 0);
-                    self.delta.resize(self.cap, 0.0);
-                    self.codec.decode_record(
-                        &self.batch[i * stride..(i + 1) * stride],
-                        &mut self.d,
-                        &mut self.sigma,
-                        &mut self.delta,
-                    );
-                    stats.processed += 1;
-                    let changed = f(
-                        s,
-                        SourceViewMut {
-                            d: &mut self.d[..n],
-                            sigma: &mut self.sigma[..n],
-                            delta: &mut self.delta[..n],
-                        },
-                    );
-                    if changed {
-                        self.codec.encode_record(
-                            &self.d,
-                            &self.sigma,
-                            &self.delta,
-                            &mut self.batch[i * stride..(i + 1) * stride],
-                        );
-                        dirty[i] = true;
-                        stats.written += 1;
-                    }
+        for group in slots.chunks(group_records) {
+            self.batch.resize(group.len() * stride, 0);
+            let mut at = 0;
+            while let Some((i, j)) = stretch(group, at, |_| true) {
+                let slot = group[i].0;
+                let off = self.record_offset(slot);
+                self.file
+                    .read_exact_at(&mut self.batch[i * stride..j * stride], off)
+                    .map_err(|_| {
+                        BdError::Corrupt(format!("record run at slot {slot} truncated"))
+                    })?;
+                self.bytes_read += ((j - i) * stride) as u64;
+                at = j;
+            }
+            dirty.clear();
+            dirty.resize(group.len(), false);
+            for (i, &(slot, s)) in group.iter().enumerate() {
+                self.d.resize(self.cap, 0);
+                self.sigma.resize(self.cap, 0);
+                self.delta.resize(self.cap, 0.0);
+                self.codec.decode_record(
+                    &self.batch[i * stride..(i + 1) * stride],
+                    &mut self.d,
+                    &mut self.sigma,
+                    &mut self.delta,
+                );
+                stats.processed += 1;
+                let changed = f(
+                    s,
+                    SourceViewMut {
+                        d: &mut self.d[..n],
+                        sigma: &mut self.sigma[..n],
+                        delta: &mut self.delta[..n],
+                    },
+                );
+                if changed {
+                    self.raw.resize(stride, 0);
+                    self.codec
+                        .encode_record(&self.d, &self.sigma, &self.delta, &mut self.raw);
+                    let off = self.record_offset(slot);
+                    self.redo.log_diff(
+                        off,
+                        &mut self.batch[i * stride..(i + 1) * stride],
+                        &self.raw,
+                    )?;
+                    dirty[i] = true;
+                    stats.written += 1;
                 }
-                // write back maximal contiguous dirty stretches, one seek each
-                let mut i = 0;
-                while i < dirty.len() {
-                    if !dirty[i] {
-                        i += 1;
-                        continue;
-                    }
-                    let mut j = i + 1;
-                    while j < dirty.len() && dirty[j] {
-                        j += 1;
-                    }
-                    let off = self.record_offset(first_slot + i);
-                    self.file.seek(SeekFrom::Start(off))?;
-                    self.file.write_all(&self.batch[i * stride..j * stride])?;
-                    self.bytes_written += ((j - i) * stride) as u64;
-                    i = j;
-                }
+            }
+            // the log goes ahead of the data it covers
+            self.redo.emit()?;
+            // write back maximal contiguous dirty stretches, one write each
+            let mut at = 0;
+            while let Some((i, j)) = stretch(group, at, |k| dirty[k]) {
+                let off = self.record_offset(group[i].0);
+                self.file
+                    .write_all_at(&self.batch[i * stride..j * stride], off)?;
+                self.bytes_written += ((j - i) * stride) as u64;
+                at = j;
             }
         }
         Ok(stats)
@@ -884,13 +1017,17 @@ impl BdStore for DiskBdStore {
 
     /// With headroom available this is a single 8-byte header update — slot
     /// `n` of every record already holds `d = ∞, σ = 0, δ = 0` by the slab
-    /// invariant — so growth costs O(1) I/O. Only when `n == cap` is the
-    /// file re-slabbed at a geometrically larger capacity.
+    /// invariant — so growth costs O(1) I/O (and one 8-byte redo span).
+    /// Only when `n == cap` is the file re-slabbed at a geometrically
+    /// larger capacity.
     fn grow_vertex(&mut self) -> BdResult<()> {
         self.ensure_writable()?;
         if self.n < self.cap {
             self.n += 1;
-            write_header_n(&mut self.file, self.n as u64)?;
+            let n = (self.n as u64).to_le_bytes();
+            self.redo.log(8, &n)?;
+            self.redo.emit()?;
+            self.file.write_all_at(&n, 8)?;
             return Ok(());
         }
         let new_n = self.n + 1;
@@ -910,7 +1047,7 @@ impl BdStore for DiskBdStore {
     /// One journal round for the whole batch: a single `AddSource` intent
     /// whose count grows by `sources.len()` (checksum 0), the records
     /// streamed to the end of the file, then the header count and the
-    /// sidecar once. Recovery rolls a torn batch forward only when the
+    /// sidecar once, and one data checkpoint before the intent clears. Recovery rolls a torn batch forward only when the
     /// sidecar already lists every new source, else back (see
     /// [`crate::recovery`]).
     fn add_sources(&mut self, sources: &[VertexId], record: RecordFn<'_>) -> BdResult<()> {
@@ -966,10 +1103,9 @@ impl BdStore for DiskBdStore {
             self.index.insert(s, self.order.len());
             self.order.push(s);
         }
-        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_header_count(&self.file, self.order.len() as u64)?;
         write_sidecar(&self.path, &self.order)?;
-        recovery::clear_intent(&self.path)?;
-        Ok(())
+        self.commit_intent()
     }
 
     /// Journaled swap-remove: the final record is copied into the vacated
@@ -1044,6 +1180,16 @@ pub enum RemoveCrash {
     AfterSidecar,
 }
 
+/// Simulated kill points inside a data checkpoint. Test support for the
+/// crash-recovery suite; the store must be dropped after.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointCrash {
+    /// Die after the data file and its bumped generation are synced,
+    /// before the redo log is emptied.
+    AfterDataSync,
+}
+
 /// Simulated kill points inside the guarded `export_source` sequence (the
 /// removal sub-steps are covered by [`RemoveCrash`]). Test support.
 #[doc(hidden)]
@@ -1085,6 +1231,13 @@ impl DiskBdStore {
         self.rewrite_file_inner(new_n, slab_cap(new_n), IntentOp::Reslab, Some(crash))
     }
 
+    /// [`DiskBdStore::data_checkpoint`] with a simulated crash (test
+    /// support; the store must be dropped afterwards).
+    #[doc(hidden)]
+    pub fn data_checkpoint_crashing(&mut self, crash: CheckpointCrash) -> BdResult<()> {
+        self.data_checkpoint_inner(Some(crash))
+    }
+
     /// [`BdStore::remove_source`] with a simulated crash (test support; the
     /// store must be dropped afterwards, like a killed process).
     #[doc(hidden)]
@@ -1107,6 +1260,8 @@ impl DiskBdStore {
     fn remove_source_inner(&mut self, s: VertexId, crash: Option<RemoveCrash>) -> BdResult<()> {
         let slot = self.slot(s)?;
         self.ensure_writable()?;
+        // the swap moves a record: no logged offset may outlive it
+        self.data_checkpoint()?;
         let last = self.order.len() - 1;
         let old = Geometry::of(&self.header());
         recovery::write_intent(
@@ -1129,14 +1284,13 @@ impl DiskBdStore {
         if slot != last {
             // raw byte copy of the final record into the vacated slot (no
             // decode round-trip: the moved record must stay bit-identical)
+            let (from, to) = (self.record_offset(last), self.record_offset(slot));
             self.raw.resize(stride, 0);
-            self.file.seek(SeekFrom::Start(self.record_offset(last)))?;
             self.file
-                .read_exact(&mut self.raw)
+                .read_exact_at(&mut self.raw, from)
                 .map_err(|_| BdError::Corrupt(format!("record {last} truncated")))?;
             self.bytes_read += stride as u64;
-            self.file.seek(SeekFrom::Start(self.record_offset(slot)))?;
-            self.file.write_all(&self.raw[..stride])?;
+            self.file.write_all_at(&self.raw[..stride], to)?;
             self.bytes_written += stride as u64;
         }
         if crash == Some(RemoveCrash::AfterCopy) {
@@ -1147,7 +1301,7 @@ impl DiskBdStore {
         if let Some(&moved) = self.order.get(slot) {
             self.index.insert(moved, slot);
         }
-        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_header_count(&self.file, self.order.len() as u64)?;
         if crash == Some(RemoveCrash::AfterHeader) {
             return Ok(());
         }
@@ -1156,8 +1310,7 @@ impl DiskBdStore {
             return Ok(());
         }
         self.file.set_len(self.record_offset(self.order.len()))?;
-        recovery::clear_intent(&self.path)?;
-        Ok(())
+        self.commit_intent()
     }
 
     fn export_source_inner(
@@ -1240,12 +1393,11 @@ impl DiskBdStore {
         }
         // 1. the record itself
         let off = self.record_offset(slot);
-        self.file.seek(SeekFrom::Start(off))?;
         if crash == Some(AddCrash::MidRecord) {
-            self.file.write_all(&self.raw[..stride / 2])?;
+            self.file.write_all_at(&self.raw[..stride / 2], off)?;
             return Ok(());
         }
-        self.file.write_all(&self.raw)?;
+        self.file.write_all_at(&self.raw, off)?;
         self.bytes_written += stride as u64;
         if crash == Some(AddCrash::AfterRecord) {
             return Ok(());
@@ -1253,7 +1405,7 @@ impl DiskBdStore {
         // 2. header count, 3. sidecar, then commit
         self.index.insert(s, slot);
         self.order.push(s);
-        write_header_count(&mut self.file, self.order.len() as u64)?;
+        write_header_count(&self.file, self.order.len() as u64)?;
         if crash == Some(AddCrash::AfterHeader) {
             return Ok(());
         }
@@ -1261,8 +1413,9 @@ impl DiskBdStore {
         if crash == Some(AddCrash::AfterSidecar) {
             return Ok(());
         }
-        recovery::clear_intent(&self.path)?;
-        Ok(())
+        // an append moves no record, so the redo log may stay live until
+        // here; one data checkpoint covers both
+        self.commit_intent()
     }
 }
 
@@ -1623,7 +1776,7 @@ mod tests {
             )
             .unwrap();
             if !landed {
-                write_header_count(&mut st.file, 1).unwrap();
+                write_header_count(&st.file, 1).unwrap();
                 write_sidecar(&path, &[7]).unwrap();
             }
             drop(st);
@@ -1742,6 +1895,66 @@ mod tests {
             st.add_source(5, d, s, del),
             Err(BdError::DuplicateSource(5))
         ));
+    }
+
+    /// The redo log costs O(changed bytes): on a mixed add/remove stream
+    /// over the online-disk graph, each `flush` logs at most 10% of the
+    /// stride bytes it makes durable, and takes a data checkpoint exactly
+    /// when the log has reached `data_bytes()`.
+    #[test]
+    fn redo_bytes_per_flush_track_changed_bytes() {
+        use ebc_core::state::{BetweennessState, Update};
+        let g = ebc_gen::models::holme_kim(400, 2, 0.3, 11);
+        let path = tmpdir("redo_cost").join("bd.dat");
+        let store = DiskBdStore::create(&path, g.n(), CodecKind::Wide).unwrap();
+        let mut st =
+            BetweennessState::new_into_store(g, store, ebc_core::UpdateConfig::default()).unwrap();
+        let mut rng = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % bound
+        };
+        let (mut flushes, mut checkpoints) = (0, 0);
+        while flushes < 160 {
+            let n = st.graph().n();
+            let u = if next(100) < 70 {
+                let (a, b) = (next(n) as u32, next(n) as u32);
+                if a == b || st.graph().has_edge(a, b) {
+                    continue;
+                }
+                Update::add(a, b)
+            } else {
+                let edges = st.graph().sorted_edges();
+                let (a, b) = edges[next(edges.len())];
+                Update::remove(a, b)
+            };
+            let before = st.store().redo_stats();
+            let w0 = st.store().bytes_written;
+            st.apply(u).unwrap();
+            let applied = st.store().redo_stats();
+            assert_eq!(
+                applied.checkpoints, before.checkpoints,
+                "only flush checkpoints"
+            );
+            let dirty = st.store().bytes_written - w0;
+            let logged = applied.live_bytes - before.live_bytes;
+            assert!(
+                logged * 10 <= dirty,
+                "{u:?}: logged {logged} B for {dirty} B of dirty records"
+            );
+            st.store_mut().flush().unwrap();
+            let reached = applied.live_bytes >= st.store().data_bytes();
+            assert_eq!(
+                st.store().redo_stats().checkpoints > applied.checkpoints,
+                reached,
+                "{u:?}: a data checkpoint must follow the log reaching data_bytes"
+            );
+            checkpoints += reached as usize;
+            flushes += 1;
+        }
+        assert!(checkpoints > 0, "the stream never filled the log");
     }
 
     #[test]

@@ -13,7 +13,13 @@
 //!   both.
 //! * **append** — [`crate::OpLog`], the one checksummed record log
 //!   (`[len: u32][fnv1a64: u64][bytes]` frames, torn tail truncated on
-//!   reopen, prefix compaction through the replace primitive above).
+//!   reopen, prefix compaction through the replace primitive above). The
+//!   data file's redo log ([`crate::redo`]) streams the same frames
+//!   instead of keeping them resident.
+//!
+//! The one file written in place is the `BD` data file: its record
+//! writes become durable through that redo log, and its unlogged steps
+//! through a data checkpoint (`sync_data`) before their intent clears.
 //!
 //! Small metadata files use the **sealed codec**: [`seal`] frames a
 //! payload as `magic ‖ payload ‖ fnv1a64(magic ‖ payload)`, and [`unseal`]

@@ -31,6 +31,12 @@
 //! * **one durability layer**: every atomic replace (fsync of the temp
 //!   file and the directory), sealed file and record log goes through
 //!   [`durable`] and [`OpLog`];
+//! * **O(changed bytes) durability**: in-place record writes are made
+//!   durable through a physical redo log (`<path>.redo`, see [`redo`]) —
+//!   [`DiskBdStore::flush`] fsyncs the changed byte spans, not the data
+//!   file, which is synced only at a *data checkpoint* (when the log
+//!   reaches [`DiskBdStore::data_bytes`], and around intent-guarded
+//!   operations); [`DiskBdStore::open`] replays the log;
 //! * legacy v1 files stay readable and migrate to v2 on first write;
 //! * **per-shard files with source handoff**: a [`ShardSet`] keeps one
 //!   store file per shard (`shard-<k>.ebc`, each with its own sidecar and
@@ -84,6 +90,7 @@ pub mod durable;
 pub mod history;
 pub mod oplog;
 pub mod recovery;
+pub mod redo;
 pub mod shard;
 
 pub use codec::CodecKind;
@@ -92,6 +99,7 @@ pub use durable::{fnv1a64, read_sealed, write_sealed, DurableError};
 pub use history::{HistoryError, HistoryLog, HistoryRecord, HistoryStats};
 pub use oplog::OpLog;
 pub use recovery::{IntentOp, RecoveryAction};
+pub use redo::RedoStats;
 pub use shard::{HandoffRecovery, ShardSet};
 
 // re-export the trait so downstream users need only this crate

@@ -22,11 +22,104 @@
 //! the manifest names its records). A compacted file starts with a 16-byte
 //! header (`EBCOPLG2` + base index); [`OpLog::truncate_prefix`] writes it
 //! through [`crate::durable`]'s atomic replace.
+//!
+//! The frame codec itself (`put_frame`, `seal_frame`, `FrameReader`)
+//! is shared with the data file's redo log ([`crate::redo`]), which
+//! streams frames instead of keeping them resident.
 
 use crate::durable::{self, fnv1a64, DurableError};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+/// Bytes of a frame header: `[len u32][fnv1a64 u64]`.
+pub(crate) const FRAME_HEADER: usize = 12;
+
+/// Append one `[len][fnv1a64][payload]` frame to `out`.
+pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let start = out.len();
+    out.resize(start + FRAME_HEADER, 0);
+    out.extend_from_slice(payload);
+    seal_frame(&mut out[start..]);
+}
+
+/// Fill in the header of a frame built in place: `frame[..12]` becomes
+/// the length and checksum of the payload `frame[12..]`.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+}
+
+/// One step of a [`FrameReader`].
+pub(crate) enum Frame<'a> {
+    /// A whole frame whose checksum holds.
+    Entry(&'a [u8]),
+    /// Clean end of the file.
+    End,
+    /// The final frame is cut short or fails its checksum: a write that
+    /// never completed.
+    Torn,
+    /// A frame fails its checksum with more bytes after it.
+    Corrupt,
+}
+
+/// Streams the frames of a `len`-byte file one at a time, from a source
+/// positioned at byte `pos`, holding only the current payload.
+pub(crate) struct FrameReader<R> {
+    src: R,
+    pos: u64,
+    len: u64,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(src: R, pos: u64, len: u64) -> Self {
+        FrameReader {
+            src,
+            pos,
+            len,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Offset just past the last whole frame read.
+    pub(crate) fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    /// Read the next frame. After anything but [`Frame::Entry`] the
+    /// reader is spent.
+    pub(crate) fn next_frame(&mut self) -> io::Result<Frame<'_>> {
+        let rest = self.len - self.pos;
+        if rest == 0 {
+            return Ok(Frame::End);
+        }
+        let mut head = [0u8; FRAME_HEADER];
+        if rest < FRAME_HEADER as u64 {
+            return Ok(Frame::Torn);
+        }
+        self.src.read_exact(&mut head)?;
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as u64;
+        let ck = u64::from_le_bytes(head[4..].try_into().expect("8"));
+        let whole = FRAME_HEADER as u64 + len;
+        if whole > rest {
+            return Ok(Frame::Torn); // length header outruns the file
+        }
+        self.buf.resize(len as usize, 0);
+        self.src.read_exact(&mut self.buf)?;
+        if fnv1a64(&self.buf) != ck {
+            return Ok(if whole == rest {
+                Frame::Torn
+            } else {
+                Frame::Corrupt
+            });
+        }
+        self.pos += whole;
+        Ok(Frame::Entry(&self.buf))
+    }
+}
 
 /// Magic header of a compacted (format v2) op-log file: the 8-byte tag
 /// followed by the base index (`u64` LE) of the first retained entry.
@@ -80,41 +173,38 @@ impl OpLog {
             .create(true)
             .truncate(false)
             .open(path.as_ref())?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut pos = 0usize;
+        let len = file.metadata()?.len();
+        let mut head = [0u8; 16];
         let mut base = 0u64;
-        if bytes.len() >= 16 && &bytes[..8] == OPLOG_V2_MAGIC {
-            base = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-            pos = 16;
-        }
-        let mut entries = Vec::new();
-        let mut durable = pos;
-        while bytes.len() - pos >= 12 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4")) as usize;
-            let ck = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
-            let Some(end) = pos.checked_add(12 + len).filter(|&e| e <= bytes.len()) else {
-                break; // torn tail: length header outruns the file
-            };
-            let payload = &bytes[pos + 12..end];
-            if fnv1a64(payload) != ck {
-                if end == bytes.len() {
-                    break; // torn tail: final entry half-written
-                }
-                return Err(DurableError::Corrupt(format!(
-                    "{}: entry {} fails its checksum mid-file",
-                    path.as_ref().display(),
-                    entries.len()
-                )));
+        let mut start = 0u64;
+        if len >= 16 {
+            file.read_exact_at(&mut head, 0)?;
+            if &head[..8] == OPLOG_V2_MAGIC {
+                base = u64::from_le_bytes(head[8..16].try_into().expect("8"));
+                start = 16;
             }
-            entries.push(payload.to_vec());
-            pos = end;
-            durable = end;
         }
-        if durable < bytes.len() {
-            file.set_len(durable as u64)?;
+        file.seek(SeekFrom::Start(start))?;
+        let mut frames = FrameReader::new(BufReader::new(&file), start, len);
+        let mut entries = Vec::new();
+        loop {
+            match frames.next_frame()? {
+                Frame::Entry(entry) => entries.push(entry.to_vec()),
+                Frame::End | Frame::Torn => break,
+                Frame::Corrupt => {
+                    return Err(DurableError::Corrupt(format!(
+                        "{}: entry {} fails its checksum mid-file",
+                        path.as_ref().display(),
+                        entries.len()
+                    )))
+                }
+            }
         }
-        file.seek(SeekFrom::Start(durable as u64))?;
+        let durable = frames.pos();
+        if durable < len {
+            file.set_len(durable)?;
+        }
+        file.seek(SeekFrom::Start(durable))?;
         Ok(OpLog {
             base,
             byte_len: entries.iter().map(|e| 12 + e.len() as u64).sum(),
@@ -129,10 +219,8 @@ impl OpLog {
     /// silently reordered).
     pub fn append(&mut self, entry: &[u8]) -> Result<u64, DurableError> {
         if let Some(file) = &mut self.file {
-            let mut frame = Vec::with_capacity(12 + entry.len());
-            frame.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&fnv1a64(entry).to_le_bytes());
-            frame.extend_from_slice(entry);
+            let mut frame = Vec::with_capacity(FRAME_HEADER + entry.len());
+            put_frame(&mut frame, entry);
             file.write_all(&frame)?;
         }
         self.byte_len += 12 + entry.len() as u64;
@@ -207,9 +295,7 @@ impl OpLog {
             bytes.extend_from_slice(OPLOG_V2_MAGIC);
             bytes.extend_from_slice(&self.base.to_le_bytes());
             for entry in &self.entries {
-                bytes.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&fnv1a64(entry).to_le_bytes());
-                bytes.extend_from_slice(entry);
+                put_frame(&mut bytes, entry);
             }
             durable::write_tmp(path, &bytes)?;
         }

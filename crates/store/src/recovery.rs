@@ -43,19 +43,22 @@
 //!
 //! Every commit point is now fsynced: the intent record, the sidecar and
 //! the re-slab temp file are `sync_data`ed before their rename, and the
-//! directory is fsynced after it; [`crate::DiskBdStore::flush`] syncs the
-//! record data. The guarantee is still *proven* only for **process kill**
-//! (the crash suites kill between steps, where the page cache preserves
-//! write ordering). Power loss can still reorder the in-place record and
-//! header writes against the journal, and no test yet simulates a power
-//! cut; that harness is ROADMAP item 3.
+//! directory is fsynced after it; the data file is synced (a data
+//! checkpoint) before an intent is cleared, and in-place record writes are
+//! made durable by [`crate::DiskBdStore::flush`] through the redo log
+//! ([`crate::redo`]), which `open` replays *after* this pass. The
+//! guarantee is still *proven* only for **process kill** (the crash suites
+//! kill between steps, where the page cache preserves write ordering).
+//! Power loss can still reorder the in-place record and header writes
+//! against the journal, and no test yet simulates a power cut; that
+//! harness is ROADMAP item 3.
 
 use crate::disk::{read_sidecar_ids, write_header_count, write_sidecar, FormatVersion, Header};
 use crate::durable::{self, fnv1a64};
 use ebc_core::bd::{BdError, BdResult};
 use ebc_graph::VertexId;
 use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const WAL_MAGIC: &[u8; 7] = b"EBCWAL\n";
@@ -201,6 +204,8 @@ pub(crate) fn clear_intent(path: &Path) -> BdResult<()> {
 /// Inspect `<path>.wal` and, if an intent record is pending, repair the
 /// store to a consistent state. Returns what was done, or `None` when no
 /// intent was pending. Called by `DiskBdStore::open` before validation.
+/// Each repair syncs the data file before the intent is deleted, so the
+/// intent outlives any repair a crash could lose.
 pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
     let wal = wal_path(path);
     let raw = match std::fs::read(&wal) {
@@ -232,8 +237,8 @@ pub(crate) fn run_recovery(path: &Path) -> BdResult<Option<RecoveryAction>> {
 /// count and sidecar are rewritten to match whichever side was chosen, and
 /// any partial trailing bytes are truncated away.
 fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    let header = Header::read_from(&mut file)?;
+    let file = OpenOptions::new().read(true).write(true).open(path)?;
+    let header = Header::read_from(&file)?;
     // add_source never changes n/cap, and only runs on v2 files (v1 stores
     // migrate before their first write)
     if header.version != FormatVersion::V2
@@ -254,14 +259,13 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
     let complete = actual >= new_len
         && if intent.new.count == intent.old.count + 1 {
             let mut rec = vec![0u8; stride as usize];
-            file.seek(SeekFrom::Start(header.len() + intent.old.count * stride))?;
-            file.read_exact(&mut rec)?;
+            file.read_exact_at(&mut rec, header.len() + intent.old.count * stride)?;
             fnv1a64(&rec) == intent.payload_checksum
         } else {
             ids.len() as u64 == intent.new.count
         };
     if complete {
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_count(&file, intent.new.count)?;
         file.set_len(new_len)?;
         if ids.len() as u64 == intent.old.count {
             ids.push(intent.source);
@@ -269,9 +273,10 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         } else if ids.len() as u64 != intent.new.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
+        file.sync_data()?;
         Ok(RecoveryAction::RolledForward(IntentOp::AddSource))
     } else {
-        write_header_count(&mut file, intent.old.count)?;
+        write_header_count(&file, intent.old.count)?;
         file.set_len(header.len() + intent.old.count * stride)?;
         if ids.len() as u64 == intent.new.count {
             ids.truncate(intent.old.count as usize);
@@ -279,6 +284,7 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
         } else if ids.len() as u64 != intent.old.count {
             return Err(BdError::Corrupt("sidecar matches neither side".into()));
         }
+        file.sync_data()?;
         Ok(RecoveryAction::RolledBack(IntentOp::AddSource))
     }
 }
@@ -292,8 +298,8 @@ fn recover_add_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> 
 /// elsewhere (an export journal, for handoffs), so completing the removal
 /// never loses data.
 fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    let header = Header::read_from(&mut file)?;
+    let file = OpenOptions::new().read(true).write(true).open(path)?;
+    let header = Header::read_from(&file)?;
     // remove_source never changes n/cap and only runs on v2 files
     if header.version != FormatVersion::V2
         || header.n as u64 != intent.old.n
@@ -316,22 +322,21 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
             // (re)do the idempotent last→slot copy; the donor bytes are
             // still on disk because the truncate below has not happened
             let mut rec = vec![0u8; stride as usize];
-            file.seek(SeekFrom::Start(header.len() + last * stride))?;
-            file.read_exact(&mut rec)
+            file.read_exact_at(&mut rec, header.len() + last * stride)
                 .map_err(|_| BdError::Corrupt("final record truncated".into()))?;
-            file.seek(SeekFrom::Start(header.len() + slot as u64 * stride))?;
-            file.write_all(&rec)?;
+            file.write_all_at(&rec, header.len() + slot as u64 * stride)?;
         }
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_count(&file, intent.new.count)?;
         ids.swap_remove(slot);
         write_sidecar(path, &ids)?;
     } else if ids.len() as u64 == intent.new.count {
         // Sidecar already new: the copy and count are durable by ordering.
-        write_header_count(&mut file, intent.new.count)?;
+        write_header_count(&file, intent.new.count)?;
     } else {
         return Err(BdError::Corrupt("sidecar matches neither side".into()));
     }
     file.set_len(header.len() + intent.new.count * stride)?;
+    file.sync_data()?;
     Ok(RecoveryAction::RolledForward(IntentOp::RemoveSource))
 }
 
@@ -340,8 +345,8 @@ fn recover_remove_source(path: &Path, intent: &Intent) -> BdResult<RecoveryActio
 /// entirely old or entirely new; recovery just decides which side won and
 /// removes the leftover temp file.
 fn recover_rewrite(path: &Path, intent: &Intent) -> BdResult<RecoveryAction> {
-    let mut file = OpenOptions::new().read(true).open(path)?;
-    let header = Header::read_from(&mut file)?;
+    let file = OpenOptions::new().read(true).open(path)?;
+    let header = Header::read_from(&file)?;
     let geometry = Geometry::of(&header);
     let tmp = durable::tmp_path(path);
     let old_version = match intent.op {

@@ -5,10 +5,13 @@
 //! verify `open()` repairs the files to a consistent state. Each
 //! single-store case is one row of the DESIGN.md §7 crash matrix; each
 //! handoff case is one row of the §8 matrix, whose acceptance bar is that
-//! the mid-handoff source ends up **owned by exactly one shard**.
+//! the mid-handoff source ends up **owned by exactly one shard**. The redo
+//! cells at the end kill around the data file's redo log and compare the
+//! reopened records bitwise to a store that never crashed.
 
 use ebc_core::bd::{BdError, BdStore};
-use ebc_store::disk::{AddCrash, ExportCrash, RemoveCrash, RewriteCrash};
+use ebc_store::disk::{AddCrash, CheckpointCrash, ExportCrash, RemoveCrash, RewriteCrash};
+use ebc_store::redo::redo_path;
 use ebc_store::shard::{HandoffKill, HandoffRecovery};
 use ebc_store::{CodecKind, DiskBdStore, FormatVersion, IntentOp, RecoveryAction, ShardSet};
 use std::path::PathBuf;
@@ -666,4 +669,298 @@ fn unrecoverable_states_still_error() {
     idx[0] += 1; // count 2 → 3 without any intent
     std::fs::write(PathBuf::from(sidecar), idx).unwrap();
     assert!(matches!(DiskBdStore::open(&path), Err(BdError::Corrupt(_))));
+}
+
+// ---- redo log crash cells (DESIGN.md §7, "Redo log") ----
+
+/// One record as bits: `(source, d, σ, δ bits)`.
+type RecordBits = (u32, Vec<u32>, Vec<u64>, Vec<u64>);
+
+/// Every record of `st`, bit for bit, in slot order.
+fn record_bits(st: &mut DiskBdStore) -> Vec<RecordBits> {
+    let mut out = Vec::new();
+    for s in st.sources() {
+        st.update_with(s, &mut |view| {
+            let delta = view.delta.iter().map(|x| x.to_bits()).collect();
+            out.push((s, view.d.to_vec(), view.sigma.to_vec(), delta));
+            false
+        })
+        .unwrap();
+    }
+    out
+}
+
+/// A batched update that dirties every source, salted by `round`. Under
+/// `sample` the endpoints 0 and 1 never tie, so no source is skipped.
+fn touch(st: &mut DiskBdStore, round: u64) {
+    let sources = st.sources();
+    st.update_batch(&sources, 0, 1, &mut |s, view| {
+        let n = view.d.len();
+        let i = (s as usize + round as usize) % n;
+        view.sigma[i] += round + 1;
+        view.delta[(i + 1) % n] = round as f64 * 0.75 + s as f64;
+        true
+    })
+    .unwrap();
+}
+
+/// A three-source store whose every write is synced; returns the data
+/// file's bytes, i.e. what a power cut is sure to leave.
+fn redo_seeded(path: &PathBuf, n: usize) -> Vec<u8> {
+    let mut st = DiskBdStore::create(path, n, CodecKind::Wide).unwrap();
+    for s in [7u32, 3, 5] {
+        let (d, sig, del) = sample(n, s as u64);
+        st.add_source(s, d, sig, del).unwrap();
+    }
+    assert_eq!(
+        st.redo_stats().checkpoints,
+        3,
+        "each add_source synced the data"
+    );
+    drop(st);
+    std::fs::read(path).unwrap()
+}
+
+/// The records of a store that ran `rounds` of [`touch`] and never
+/// crashed.
+fn redo_reference(name: &str, n: usize, rounds: &[u64]) -> Vec<RecordBits> {
+    let path = tmp(name);
+    redo_seeded(&path, n);
+    let mut st = DiskBdStore::open(&path).unwrap();
+    for &r in rounds {
+        touch(&mut st, r);
+    }
+    st.flush().unwrap();
+    record_bits(&mut st)
+}
+
+/// Run rounds 1 and 2, each flushed, and die with both in the live redo
+/// log and no data checkpoint since `redo_seeded`.
+fn die_with_live_redo(path: &PathBuf) {
+    let mut st = DiskBdStore::open(path).unwrap();
+    for round in [1, 2] {
+        touch(&mut st, round);
+        st.flush().unwrap();
+    }
+    let stats = st.redo_stats();
+    assert_eq!(stats.live_frames, 2, "one frame per round");
+    assert_eq!(stats.checkpoints, 0, "the data file was never synced");
+}
+
+#[test]
+fn redo_replays_flushed_writes_the_data_file_lost() {
+    let n = 6;
+    let path = tmp("redo_live");
+    let synced = redo_seeded(&path, n);
+    die_with_live_redo(&path);
+    // a power cut keeps the synced redo log but not the unsynced pages
+    std::fs::write(&path, &synced).unwrap();
+    let mut st = DiskBdStore::open(&path).unwrap();
+    let stats = st.redo_stats();
+    assert_eq!(stats.replayed_frames, 2);
+    assert_eq!(
+        (stats.live_bytes, stats.checkpoints),
+        (0, 1),
+        "open ends in a checkpoint"
+    );
+    assert_eq!(st.last_recovery(), None, "no intent was pending");
+    assert_eq!(
+        record_bits(&mut st),
+        redo_reference("redo_live_ref", n, &[1, 2])
+    );
+}
+
+#[test]
+fn torn_final_redo_frame_is_dropped() {
+    let n = 6;
+    let path = tmp("redo_torn");
+    let synced = redo_seeded(&path, n);
+    die_with_live_redo(&path);
+    let log = std::fs::read(redo_path(&path)).unwrap();
+    std::fs::write(redo_path(&path), &log[..log.len() - 3]).unwrap();
+    std::fs::write(&path, &synced).unwrap();
+    let mut st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(
+        st.redo_stats().replayed_frames,
+        1,
+        "round 2 never became durable"
+    );
+    assert_eq!(
+        record_bits(&mut st),
+        redo_reference("redo_torn_ref", n, &[1])
+    );
+}
+
+#[test]
+fn kill_between_data_sync_and_redo_truncation() {
+    let n = 6;
+    let path = tmp("redo_ckpt_kill");
+    redo_seeded(&path, n);
+    let generation = {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        touch(&mut st, 1);
+        st.flush().unwrap();
+        assert!(st.redo_stats().live_frames > 0);
+        st.data_checkpoint_crashing(CheckpointCrash::AfterDataSync)
+            .unwrap();
+        st.redo_stats().generation
+    };
+    assert!(std::fs::metadata(redo_path(&path)).unwrap().len() > 0);
+    let mut st = DiskBdStore::open(&path).unwrap();
+    let stats = st.redo_stats();
+    assert_eq!(
+        stats.replayed_frames, 0,
+        "the frames predate the synced header"
+    );
+    assert_eq!(
+        stats.generation,
+        generation + 2,
+        "synced bump, then open's own"
+    );
+    assert_eq!(stats.live_bytes, 0);
+    assert_eq!(
+        record_bits(&mut st),
+        redo_reference("redo_ckpt_ref", n, &[1])
+    );
+}
+
+/// Append `x` as an LEB128 varint.
+fn varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// A redo frame built by hand from the documented layout: one span
+/// overwriting the `δ[v]` entry of `slot` with `value`.
+fn hand_frame(st: &DiskBdStore, generation: u64, slot: usize, v: usize, value: f64) -> Vec<u8> {
+    let cap = st.capacity();
+    let stride = CodecKind::Wide.record_size(cap);
+    // 40-byte v2 header; a Wide record is [d: cap×4][σ: cap×8][δ: cap×8]
+    let offset = 40 + slot * stride + cap * 12 + v * 8;
+    let mut payload = generation.to_le_bytes().to_vec();
+    varint(&mut payload, offset as u64);
+    varint(&mut payload, 8);
+    payload.extend_from_slice(&value.to_le_bytes());
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&ebc_store::fnv1a64(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+#[test]
+fn stale_generation_frames_never_roll_a_record_back() {
+    let n = 6;
+    let path = tmp("redo_stale");
+    redo_seeded(&path, n);
+    {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        touch(&mut st, 1);
+        st.flush().unwrap();
+        st.data_checkpoint().unwrap(); // a non-empty log: the generation moves
+    }
+    let st = DiskBdStore::open(&path).unwrap();
+    let generation = st.redo_stats().generation;
+    assert!(generation >= 1);
+    let slot = st.sources().iter().position(|&s| s == 3).unwrap();
+    // the newest generation first, then a tail a lost truncation left
+    let mut log = hand_frame(&st, generation, slot, 2, 42.5);
+    log.extend(hand_frame(&st, generation - 1, slot, 2, -1.0));
+    log.extend(hand_frame(&st, generation - 1, 0, 4, 9.0));
+    drop(st);
+    std::fs::write(redo_path(&path), &log).unwrap();
+    let mut st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(
+        st.redo_stats().replayed_frames,
+        1,
+        "only the newest generation"
+    );
+    let want = {
+        let ref_path = tmp("redo_stale_ref");
+        redo_seeded(&ref_path, n);
+        let mut r = DiskBdStore::open(&ref_path).unwrap();
+        touch(&mut r, 1);
+        r.update_with(3, &mut |view| {
+            view.delta[2] = 42.5;
+            true
+        })
+        .unwrap();
+        record_bits(&mut r)
+    };
+    assert_eq!(record_bits(&mut st), want);
+}
+
+#[test]
+fn reopening_a_replayed_store_is_idempotent() {
+    let n = 6;
+    let path = tmp("redo_twice");
+    let synced = redo_seeded(&path, n);
+    die_with_live_redo(&path);
+    std::fs::write(&path, &synced).unwrap();
+    let first = {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        assert_eq!(st.redo_stats().replayed_frames, 2);
+        record_bits(&mut st)
+    };
+    let mut st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(
+        st.redo_stats().replayed_frames,
+        0,
+        "the first open emptied the log"
+    );
+    assert_eq!(st.redo_stats().checkpoints, 0, "a clean open syncs nothing");
+    assert_eq!(record_bits(&mut st), first);
+    assert_eq!(first, redo_reference("redo_twice_ref", n, &[1, 2]));
+}
+
+/// Round 1, an arrival (`grow_vertex` + `add_source`), then round 2, a
+/// second in-headroom growth and round 3. Returns the data file's bytes
+/// after the arrival's data checkpoint.
+fn arrival_script(st: &mut DiskBdStore, n: usize) -> Vec<u8> {
+    touch(st, 1);
+    st.flush().unwrap();
+    st.grow_vertex().unwrap();
+    let (d, sig, del) = sample(n + 1, 9);
+    st.add_source(9, d, sig, del).unwrap();
+    let synced = std::fs::read(st.path()).unwrap();
+    touch(st, 2);
+    st.grow_vertex().unwrap();
+    touch(st, 3);
+    st.flush().unwrap();
+    synced
+}
+
+#[test]
+fn redo_frames_then_an_arrival_recover_bitwise() {
+    let n = 6;
+    let path = tmp("redo_arrival");
+    redo_seeded(&path, n);
+    let synced = {
+        let mut st = DiskBdStore::open(&path).unwrap();
+        let synced = arrival_script(&mut st, n);
+        let stats = st.redo_stats();
+        assert_eq!(
+            stats.checkpoints, 1,
+            "only the arrival synced the data file"
+        );
+        assert!(
+            stats.live_frames >= 3,
+            "rounds 2 and 3 and the growth are live"
+        );
+        synced
+    };
+    std::fs::write(&path, &synced).unwrap();
+    let mut st = DiskBdStore::open(&path).unwrap();
+    assert_eq!(st.n(), n + 2, "the logged growth was replayed");
+    assert_eq!(st.sources(), vec![7, 3, 5, 9]);
+    let want = {
+        let ref_path = tmp("redo_arrival_ref");
+        redo_seeded(&ref_path, n);
+        let mut r = DiskBdStore::open(&ref_path).unwrap();
+        arrival_script(&mut r, n);
+        record_bits(&mut r)
+    };
+    assert_eq!(record_bits(&mut st), want);
 }

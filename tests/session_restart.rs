@@ -379,3 +379,79 @@ fn mixed_disk_directories_rejected() {
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
 }
+
+/// Data files of a session directory: the single store, or one per shard.
+fn data_files(backend: &Backend, dir: &std::path::Path, p: usize) -> Vec<std::path::PathBuf> {
+    match backend {
+        Backend::Disk(_) => vec![dir.join("bd.ebc")],
+        _ => (0..p).map(|k| dir.join(format!("shard-{k}.ebc"))).collect(),
+    }
+}
+
+fn redo_len(data: &std::path::Path) -> u64 {
+    let mut redo = data.as_os_str().to_owned();
+    redo.push(".redo");
+    std::fs::metadata(redo).unwrap().len()
+}
+
+/// Under `EveryApply` a store's record writes become durable through its
+/// redo log, not a sync of the data file. Kill a session with live redo
+/// logs, drop every data page written since the bootstrap's sync (what a
+/// power cut may do), and reopen: the replayed records must give the
+/// serial oracle's scores bitwise. Then keep going and restart again.
+fn check_redo_restart(backend: Backend, dir: &std::path::Path, p: usize, ctx: &str) {
+    let (g, batch1, batch2) = scenario();
+    let (head, tail) = batch1.split_at(3); // the head grows nothing
+    let mut session = Session::builder()
+        .backend(backend.clone())
+        .workers(p)
+        .build(&g)
+        .unwrap();
+    let files = data_files(&backend, dir, p);
+    let synced: Vec<Vec<u8>> = files.iter().map(|f| std::fs::read(f).unwrap()).collect();
+    session.apply_stream(head).unwrap();
+    drop(session);
+    for (f, bytes) in files.iter().zip(&synced) {
+        assert!(redo_len(f) > 0, "{ctx}: {} has no live redo", f.display());
+        let now = std::fs::read(f).unwrap();
+        assert_eq!(
+            now[32..40],
+            bytes[32..40],
+            "{ctx}: a data checkpoint ran, so the bootstrap bytes are stale"
+        );
+        std::fs::write(f, bytes).unwrap();
+    }
+    let mut resumed = Session::open(dir).unwrap();
+    assert_eq!(
+        resumed.brandes_runs().unwrap_or(0),
+        0,
+        "{ctx}: re-bootstrapped"
+    );
+    assert_eq!(
+        bits(&resumed.reduce_exact().unwrap().scores),
+        bits(&oracle(&g, &[head])),
+        "{ctx}: replayed records diverged from the oracle"
+    );
+    for f in &files {
+        assert_eq!(redo_len(f), 0, "{ctx}: open must end in a data checkpoint");
+    }
+    resumed.apply_stream(tail).unwrap();
+    resumed.apply_stream(&batch2).unwrap();
+    drop(resumed);
+    let mut again = Session::open(dir).unwrap();
+    assert_eq!(
+        bits(&again.reduce_exact().unwrap().scores),
+        bits(&oracle(&g, &[&batch1, &batch2])),
+        "{ctx}: second restart diverged from the oracle"
+    );
+}
+
+#[test]
+fn live_redo_logs_restart_bitwise_equal() {
+    let dir = tmpdir("redo_disk");
+    check_redo_restart(Backend::Disk(dir.clone()), &dir, 1, "disk");
+    std::fs::remove_dir_all(&dir).ok();
+    let dir = tmpdir("redo_sharded3");
+    check_redo_restart(Backend::Sharded(dir.clone()), &dir, 3, "sharded p=3");
+    std::fs::remove_dir_all(&dir).ok();
+}
